@@ -7,6 +7,7 @@ from .errors import (
     BudgetExceeded,
     DuplicateLabel,
     GroundMismatch,
+    InvariantViolation,
     LimHyperError,
     NotInCarrier,
     NotOpen,
@@ -33,6 +34,7 @@ from .hyperspace import (
     build_topology,
     conv1_conditions,
     hyper_closure,
+    hyper_component,
     identity_continuous_at,
     inclusion_relation,
     is_closed_sub,

@@ -14,12 +14,9 @@ import sys
 from .errors import AxiomViolation, BudgetExceeded, LimHyperError, ParseError
 from .finspace import canonical_key, digest, separated_points
 from .hyperspace import EvPerSeq, build_topology, hyper_closure, is_separated_in, seq_limits
-from .limitsets import carrier
+from .limitsets import CARRIER_KINDS, carrier
 from .spaceio import LabeledSpace, emit_report, format_point_set, parse_point_set, parse_space
 from .theorems import FAIL, sweep, verify_all
-
-CARRIER_CHOICES = ("F", "Fprime", "L", "Lprime", "ML")
-
 
 def _load(path: str) -> LabeledSpace:
     with open(path, encoding="utf-8") as fh:
@@ -139,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="print carrier elements with their neighborhood data")
     p.add_argument("file")
-    p.add_argument("--carrier", choices=CARRIER_CHOICES, default="F")
+    p.add_argument("--carrier", choices=CARRIER_KINDS, default="F")
     p.add_argument("--topology", choices=("w", "s"), default="w")
     p.set_defaults(func=_cmd_report)
 

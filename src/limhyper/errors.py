@@ -33,6 +33,10 @@ class NotInCarrier(LimHyperError):
     """A set is not an element of the carrier under consideration."""
 
 
+class InvariantViolation(LimHyperError):
+    """A computed result contradicts a property its construction guarantees."""
+
+
 class ParseError(LimHyperError):
     """Malformed input document."""
 

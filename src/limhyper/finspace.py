@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import AxiomViolation, BudgetExceeded, GroundMismatch
@@ -61,6 +62,16 @@ class FinTopSpace:
     @property
     def full(self) -> int:
         return full_mask(self.n)
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """``rows[x]`` is the minimal neighborhood of the point x, computed
+        once per space."""
+        rows = [self.full] * self.n
+        for u in self.opens:
+            for x in bits(u):
+                rows[x] &= u
+        return tuple(rows)
 
     def __repr__(self) -> str:
         sets = " ".join(set_repr(u) for u in self.opens)
@@ -129,12 +140,7 @@ def min_nbhd(space: FinTopSpace, x: int) -> int:
     """
     if not 0 <= x < space.n:
         raise GroundMismatch(f"point {x} outside the {space.n}-point ground set")
-    m = space.full
-    bit = 1 << x
-    for u in space.opens:
-        if u & bit:
-            m &= u
-    return m
+    return space.rows[x]
 
 
 def closed_sets(space: FinTopSpace) -> tuple[int, ...]:
@@ -163,7 +169,7 @@ def separated_points(space: FinTopSpace) -> int:
     Disjoint opens around y and z exist exactly when the minimal
     neighborhoods of y and z are disjoint.
     """
-    mins = [min_nbhd(space, x) for x in range(space.n)]
+    mins = space.rows
     out = 0
     for y in range(space.n):
         cl = closure(space, 1 << y)

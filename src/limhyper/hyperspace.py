@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceeded, NotOpen
-from .finspace import FinTopSpace, bits, canonical_key, min_nbhd, set_repr
+from .errors import BudgetExceeded, InvariantViolation, NotOpen
+from .finspace import FinTopSpace, bits, canonical_key, mask_of, set_repr
 from .limitsets import HyperCarrier, carrier as build_carrier
 
 FLAVORS = ("w", "s")
@@ -29,7 +30,9 @@ class HyperTopology:
     """Minimal-neighborhood table of tau_w or tau_s restricted to a carrier.
 
     ``min_nbhds[i]`` is the set of carrier indices inside the least open
-    neighborhood of element i.
+    neighborhood of element i. The operations below read two bitmask views
+    of it over carrier indices, derived on first use: ``rows[i]`` holds
+    ``min_nbhds[i]`` and ``cols[j]`` holds {i : j in min_nbhds[i]}.
     """
 
     carrier: HyperCarrier
@@ -38,6 +41,18 @@ class HyperTopology:
 
     def __len__(self) -> int:
         return len(self.carrier.elements)
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        return tuple(mask_of(nb) for nb in self.min_nbhds)
+
+    @cached_property
+    def cols(self) -> tuple[int, ...]:
+        cols = [0] * len(self)
+        for i, nb in enumerate(self.min_nbhds):
+            for j in nb:
+                cols[j] |= 1 << i
+        return tuple(cols)
 
 
 @dataclass(frozen=True)
@@ -159,15 +174,20 @@ def min_nbhd_oracle(
             c = rng.getrandbits(space.n) & comp if flavor == "s" else 0
             chosen = rng.getrandbits(len(hits)) if hits else 0
             restrict(c, [hits[i] for i in bits(chosen)])
-    assert idx in result
+    if idx not in result:
+        raise InvariantViolation(
+            f"oracle neighborhood of {set_repr(a)} in carrier {car.kind} misses the element itself"
+        )
     return frozenset(result)
 
 
 def hyper_closure(top: HyperTopology, s: Iterable[int]) -> frozenset[int]:
     """Closure of a set of carrier indices: everything whose minimal
     neighborhood meets the set."""
-    sset = frozenset(s)
-    return frozenset(i for i in range(len(top)) if top.min_nbhds[i] & sset)
+    cl = 0
+    for j in s:
+        cl |= top.cols[j]
+    return frozenset(bits(cl))
 
 
 def is_dense(top: HyperTopology, s: Iterable[int]) -> bool:
@@ -199,39 +219,33 @@ def identity_continuous_at(
 def is_separated_in(top: HyperTopology, i: int) -> bool:
     """True when element i has a neighborhood disjoint from one of every
     element outside its closure."""
-    cl = hyper_closure(top, (i,))
-    mine = top.min_nbhds[i]
-    return all(not mine & top.min_nbhds[j] for j in range(len(top)) if j not in cl)
+    rows = top.rows
+    outside = ((1 << len(top)) - 1) & ~top.cols[i]
+    return all(not rows[i] & rows[j] for j in bits(outside))
 
 
 def is_hausdorff(top: HyperTopology) -> bool:
+    rows = top.rows
     k = len(top)
-    return all(
-        not top.min_nbhds[i] & top.min_nbhds[j]
-        for i in range(k)
-        for j in range(i + 1, k)
-    )
+    return all(not rows[i] & rows[j] for i in range(k) for j in range(i + 1, k))
+
+
+def hyper_component(top: HyperTopology, start: int) -> frozenset[int]:
+    """Component of element ``start`` in the symmetric minimal-neighborhood
+    adjacency graph: the least clopen set containing it."""
+    seen = frontier = 1 << start
+    while frontier:
+        i = (frontier & -frontier).bit_length() - 1
+        new = (top.rows[i] | top.cols[i]) & ~seen
+        seen |= new
+        frontier = (frontier & (frontier - 1)) | new
+    return frozenset(bits(seen))
 
 
 def is_connected_hyper(top: HyperTopology) -> bool:
     """No proper nonempty clopen subset; equivalently the symmetric
     minimal-neighborhood adjacency graph has one component."""
-    k = len(top)
-    if k <= 1:
-        return True
-    adj = [set() for _ in range(k)]
-    for i in range(k):
-        for j in top.min_nbhds[i]:
-            adj[i].add(j)
-            adj[j].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == k
+    return len(top) <= 1 or len(hyper_component(top, 0)) == len(top)
 
 
 def _is_open_subset(top: HyperTopology, s: frozenset[int]) -> bool:
@@ -314,15 +328,19 @@ def seq_limits(top: HyperTopology, seq: EvPerSeq) -> frozenset[int]:
     """Limits of an eventually periodic sequence of carrier elements: the
     tail visits only the cycle, so A is a limit exactly when every cycle
     term sits in the minimal neighborhood of A."""
-    cyc = set(seq.cycle)
-    return frozenset(i for i in range(len(top)) if cyc <= top.min_nbhds[i])
+    lim = (1 << len(top)) - 1
+    for t in seq.cycle:
+        lim &= top.cols[t]
+    return frozenset(bits(lim))
 
 
 def seq_clusters(top: HyperTopology, seq: EvPerSeq) -> frozenset[int]:
     """Cluster points: some cycle term recurs inside the minimal
     neighborhood."""
-    cyc = set(seq.cycle)
-    return frozenset(i for i in range(len(top)) if cyc & top.min_nbhds[i])
+    clu = 0
+    for t in seq.cycle:
+        clu |= top.cols[t]
+    return frozenset(bits(clu))
 
 
 def is_primitive(top: HyperTopology, seq: EvPerSeq) -> bool:
@@ -346,7 +364,7 @@ def conv1_conditions(space: FinTopSpace, seq: EvPerSeq, a: int) -> tuple[bool, b
 
     Convergence is a tail property; the preperiod never matters.
     """
-    mins = [min_nbhd(space, x) for x in range(space.n)]
+    mins = space.rows
     terms = sorted(set(seq.cycle), key=canonical_key)
 
     cond_a = True

@@ -10,6 +10,7 @@ as an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BudgetExceeded, NotInCarrier
 from .finspace import FinTopSpace, _check_subset, bits, canonical_key, closed_sets, closure, set_repr
@@ -31,10 +32,15 @@ class HyperCarrier:
     kind: str
     elements: tuple[int, ...]
 
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        # filled back to front, so a repeated mask maps to its first index
+        return {m: i for i, m in reversed(tuple(enumerate(self.elements)))}
+
     def index(self, mask: int) -> int:
         try:
-            return self.elements.index(mask)
-        except ValueError:
+            return self._positions[mask]
+        except KeyError:
             raise NotInCarrier(f"{set_repr(mask)} is not an element of carrier {self.kind}") from None
 
     def __len__(self) -> int:

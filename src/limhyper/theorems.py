@@ -28,28 +28,25 @@ from .finspace import (
     digest,
     enumerate_topologies,
     is_connected,
-    min_nbhd,
+    mask_of,
     separated_points,
 )
 from .hyperspace import (
     EvPerSeq,
     HyperTopology,
-    S_of,
     build_topology,
     conv1_conditions,
     hyper_closure,
+    hyper_component,
     identity_continuous_at,
     inclusion_relation,
     is_closed_sub,
     is_compact_cover,
     is_connected_hyper,
     is_dense,
-    is_primitive,
     is_separated_in,
     product_closure,
     product_is_closed,
-    product_min_nbhd,
-    seq_limits,
 )
 from .limitsets import HyperCarrier, carrier as build_carrier, eta, is_limit_set
 
@@ -183,9 +180,10 @@ def _ml_inside_l(env):
     lcar = env.carrier("L")
     ml_idx = set()
     for m in env.carrier("ML").elements:
-        if m not in lcar.elements:
+        try:
+            ml_idx.add(lcar.index(m))
+        except NotInCarrier:
             return None, (("ml_member_outside_L", env.fmt(m)),)
-        ml_idx.add(lcar.index(m))
     return ml_idx, None
 
 
@@ -261,7 +259,7 @@ def check_connectedness(space, env):
         return CheckResult(cid, PASS, notes="hypothesis not met: the space is disconnected")
     tw = env.topology("L", "w")
     if not is_connected_hyper(tw):
-        comp = _component_of(tw, 0)
+        comp = hyper_component(tw, 0)
         return CheckResult(
             cid,
             FAIL,
@@ -271,22 +269,6 @@ def check_connectedness(space, env):
     if not is_connected_hyper(env.topology("L", "s")):
         notes = "informational: (L(X),tau_s) is disconnected although X is connected"
     return CheckResult(cid, PASS, notes=notes)
-
-
-def _component_of(top, start):
-    adj = [set() for _ in range(len(top))]
-    for i in range(len(top)):
-        for j in top.min_nbhds[i]:
-            adj[i].add(j)
-            adj[j].add(i)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return frozenset(seen)
 
 
 def check_compactness_lemma(space, env, families=None):
@@ -329,7 +311,7 @@ def check_local_compactness(space, env):
             vs = []
             for u in hits:
                 x = ((a & u) & -(a & u)).bit_length() - 1
-                v = min_nbhd(space, x)
+                v = space.rows[x]
                 if v & ~u:
                     return CheckResult(
                         cid, FAIL, witness=(("inner_nbhd_escapes", env.fmt(v)), ("open", env.fmt(u)))
@@ -436,14 +418,15 @@ def check_gdelta_ML(space, env):
     return CheckResult(cid, PASS, notes="Gdelta reduced to open: finite carrier")
 
 
-def check_product_structure(space, env, exact_pairs_budget=12, samples=256):
+def check_product_structure(space, env):
     """Product-side facts over (L, tau_s) x (L, tau_s): the inclusion
     relation is closed, and the slice map of any product open is open.
 
-    Product opens are generated as unions of product minimal
-    neighborhoods, exhaustively while the pair count stays within budget
-    and by seeded sampling beyond; an integer fast path does the bulk
-    and a sample is re-checked through the public slice operation.
+    The slice map S(m) = {a : {a} x L inside m} is monotone and the least
+    product open holding the row {a} x L is its hull, so S(m) is open for
+    every product open m exactly when nb[a] lies in S(hull(row a)) for
+    every a. The reduction holds for the tables of a topology, reflexive
+    and transitive, which is checked first. Exact in O(k^3).
     """
     cid = "check_product_structure"
     lcar = env.carrier("L")
@@ -460,68 +443,31 @@ def check_product_structure(space, env, exact_pairs_budget=12, samples=256):
             ),
         )
 
-    k = len(lcar.elements)
-    pairs = [(i, j) for i in range(k) for j in range(k)]
-    pair_pos = {p: t for t, p in enumerate(pairs)}
-    gens = []
-    for p in pairs:
-        g = 0
-        for q in product_min_nbhd(ts, ts, p):
-            g |= 1 << pair_pos[q]
-        gens.append(g)
-    rows = [0] * k
-    nb = [0] * k
+    nb = ts.rows
+    k = len(nb)
     for a in range(k):
+        if not (nb[a] >> a) & 1 or any(nb[b] & ~nb[a] for b in bits(nb[a])):
+            return CheckResult(cid, FAIL, witness=(("not_a_topology_at", env.fmt(lcar.elements[a])),))
+    full = (1 << k) - 1
+    for a in range(k):
+        # the product minimal neighborhood of (a, b) is nb[a] x nb[b]; the
+        # hull of row a is their union over b, one mask of second
+        # coordinates per first coordinate
+        hull = [0] * k
         for b in range(k):
-            rows[a] |= 1 << pair_pos[(a, b)]
-        for j in ts.min_nbhds[a]:
-            nb[a] |= 1 << j
-
-    rng = random.Random(20260809)
-    if len(pairs) <= exact_pairs_budget:
-        opens_m = {0}
-        for g in gens:
-            opens_m |= {m | g for m in opens_m}
-        mode = f"exact:{len(opens_m)}"
-    else:
-        opens_m = {0, (1 << len(pairs)) - 1}
-        for _ in range(samples):
-            m = 0
-            for t in bits(rng.getrandbits(len(gens))):
-                m |= gens[t]
-            opens_m.add(m)
-        mode = f"sampled:{len(opens_m)}"
-
-    ordered = sorted(opens_m)
-    for m in ordered:
-        s_mask = 0
-        for a in range(k):
-            if rows[a] & m == rows[a]:
-                s_mask |= 1 << a
-        for a in bits(s_mask):
-            if nb[a] & ~s_mask:
-                return CheckResult(
-                    cid,
-                    FAIL,
-                    witness=(
-                        ("slice", env.fmt_indices(lcar, bits(s_mask))),
-                        ("not_open_at", env.fmt(lcar.elements[a])),
-                    ),
-                )
-    # spot-check the fast path against the public slice map
-    for m in (ordered[t * len(ordered) // 8] for t in range(min(8, len(ordered)))):
-        mset = frozenset(pairs[t] for t in bits(m))
-        s_mask = 0
-        for a in range(k):
-            if rows[a] & m == rows[a]:
-                s_mask |= 1 << a
-        if S_of(mset, ts) != frozenset(bits(s_mask)):
+            for x in bits(nb[a]):
+                hull[x] |= nb[b]
+        s_mask = mask_of(x for x in range(k) if hull[x] == full)
+        if nb[a] & ~s_mask:
             return CheckResult(
                 cid,
                 FAIL,
-                witness=(("disagreement", "integer slice path vs public slice map"),),
+                witness=(
+                    ("slice", env.fmt_indices(lcar, bits(s_mask))),
+                    ("not_open_at", env.fmt(lcar.elements[a])),
+                ),
             )
-    return CheckResult(cid, PASS, notes=f"product opens {mode}")
+    return CheckResult(cid, PASS, notes=f"slice map decided exactly over {k} rows")
 
 
 def check_separated_points_corollary(space, env):
@@ -560,15 +506,20 @@ def _fmt_seq(env, elems, indices) -> str:
     return "(" + " ".join(env.fmt(elems[t]) for t in indices) + ")"
 
 
+def _flag(mask: int, a: int) -> str:
+    return "true" if (mask >> a) & 1 else "false"
+
+
 def check_conv_props(space, env, max_pre=1, max_cycle=2):
     """Triple equivalence over every in-budget eventually periodic sequence
     of closed sets and every closed target A: Fell convergence to A, the
     point-selection conditions, and primitivity in tau_w with limit set
     equal to the closed subsets of A.
 
-    Verdicts are computed from per-element membership tables for speed;
-    a seeded sample is re-evaluated through the public sequence
-    operations so the tables are never trusted silently.
+    Each cycle decides all targets at once as bitmasks over carrier
+    indices. A seeded sample of the selection-condition verdicts is
+    re-evaluated through ``conv1_conditions``, which decides them from the
+    point-level definition instead.
     """
     cid = "check_conv_props"
     tw = env.topology("F", "w")
@@ -582,129 +533,102 @@ def check_conv_props(space, env, max_pre=1, max_cycle=2):
     if n_cycles > 2_000_000:
         raise BudgetExceeded(f"{n_cycles} cycles exceed the sequence budget")
 
-    memb_w = [0] * k
-    memb_s = [0] * k
-    for j in range(k):
-        for i in tw.min_nbhds[j]:
-            memb_w[i] |= 1 << j
-        for i in ts.min_nbhds[j]:
-            memb_s[i] |= 1 << j
-    subset_mask = [0] * k
-    for j in range(k):
-        for i in range(k):
-            if not elems[i] & ~elems[j]:
-                subset_mask[j] |= 1 << i
-
-    mins = [min_nbhd(space, x) for x in range(space.n)]
-    # reach[t]: points reachable as limits of single points drawn from t
-    reach = [0] * k
-    goodpts = [0] * k
-    for t, m in enumerate(elems):
-        for p in bits(m):
-            for x in range(space.n):
-                if (mins[x] >> p) & 1:
-                    reach[t] |= 1 << x
-        for x in range(space.n):
-            if m & mins[x]:
-                goodpts[t] |= 1 << x
-
     full_t = (1 << k) - 1
+    # contains[x]: targets holding the point x
+    contains = [0] * space.n
+    for a, m in enumerate(elems):
+        for x in bits(m):
+            contains[x] |= 1 << a
+    # targets keyed by their closed subsets, as a mask of carrier indices
+    by_subsets: dict[int, int] = {}
+    for a, m in enumerate(elems):
+        subs = full_t
+        for x in bits(space.full & ~m):
+            subs &= ~contains[x]
+        by_subsets[subs] = by_subsets.get(subs, 0) | 1 << a
+    # near[t]: points x whose minimal neighborhood meets term t, i.e. the
+    # limits of constant point sequences drawn from t
+    mins = space.rows
+    near = [mask_of(x for x in range(space.n) if m & mins[x]) for m in elems]
+
     cycles = []
     for c in range(1, max_cycle + 1):
         cycles.extend(itertools.product(range(k), repeat=c))
 
-    verdicts = {}
+    verdicts = []
     for cyc in cycles:
-        lim_w = full_t
-        clu_w = 0
-        lim_s = full_t
-        reach_all = 0
-        good_all = space.full
-        for t in set(cyc):
-            lim_w &= memb_w[t]
-            clu_w |= memb_w[t]
-            lim_s &= memb_s[t]
-            reach_all |= reach[t]
-            good_all &= goodpts[t]
-        prim = lim_w == clu_w
-        ts_vec = lim_s
-        for a in range(k):
-            ts_conv = (lim_s >> a) & 1 == 1
-            conds = (reach_all & ~elems[a]) == 0 and (elems[a] & ~good_all) == 0
-            p22 = prim and lim_w == subset_mask[a]
-            if not (ts_conv == conds == p22):
-                return CheckResult(
-                    cid,
-                    FAIL,
-                    witness=(
-                        ("cycle", _fmt_seq(env, elems, cyc)),
-                        ("target", env.fmt(elems[a])),
-                        ("fell_convergence", str(ts_conv).lower()),
-                        ("selection_conditions", str(conds).lower()),
-                        ("primitive_characterization", str(p22).lower()),
-                    ),
-                )
-        verdicts[cyc] = (lim_w, clu_w, ts_vec)
-
-    # the tables must agree with the public sequence operations
-    rng = random.Random(20260809)
-    for _ in range(min(64, 8 * len(cycles))):
-        cyc = cycles[rng.randrange(len(cycles))]
-        a = rng.randrange(k)
-        seq = EvPerSeq((), cyc)
-        lim_w, clu_w, ts_vec = verdicts[cyc]
-        pub_lim_w = seq_limits(tw, seq)
-        pub_ts = a in seq_limits(ts, seq)
-        ca, cb = conv1_conditions(space, EvPerSeq((), tuple(elems[t] for t in cyc)), elems[a])
-        reach_all = 0
-        good_all = space.full
-        for t in set(cyc):
-            reach_all |= reach[t]
-            good_all &= goodpts[t]
-        tbl_conds = (reach_all & ~elems[a]) == 0 and (elems[a] & ~good_all) == 0
-        tbl_p22 = lim_w == clu_w and lim_w == subset_mask[a]
-        pub_p22 = is_primitive(tw, seq) and pub_lim_w == frozenset(bits(subset_mask[a]))
-        if (
-            pub_lim_w != frozenset(bits(lim_w))
-            or pub_ts != ((ts_vec >> a) & 1 == 1)
-            or (ca and cb) != tbl_conds
-            or pub_p22 != tbl_p22
-        ):
+        lim_w = lim_s = full_t
+        clu_w = reach = 0
+        good = space.full
+        for t in cyc:
+            lim_w &= tw.cols[t]
+            clu_w |= tw.cols[t]
+            lim_s &= ts.cols[t]
+            reach |= near[t]
+            good &= near[t]
+        # the selection conditions hold for the targets A with reach <= A <= good
+        conds = full_t
+        for x in bits(reach):
+            conds &= contains[x]
+        for x in bits(space.full & ~good):
+            conds &= ~contains[x]
+        p22 = by_subsets.get(lim_w, 0) if lim_w == clu_w else 0
+        bad = (lim_s ^ conds) | (conds ^ p22)
+        if bad:
+            a = (bad & -bad).bit_length() - 1
             return CheckResult(
                 cid,
                 FAIL,
                 witness=(
                     ("cycle", _fmt_seq(env, elems, cyc)),
                     ("target", env.fmt(elems[a])),
-                    ("disagreement", "internal tables vs public sequence operations"),
+                    ("fell_convergence", _flag(lim_s, a)),
+                    ("selection_conditions", _flag(conds, a)),
+                    ("primitive_characterization", _flag(p22, a)),
                 ),
             )
+        verdicts.append((lim_w, conds))
 
-    # preperiods never move the verdicts: convergence is a tail property
-    n_seq = 0
-    pres = []
-    for p in range(max_pre + 1):
-        pres.extend(itertools.product(range(k), repeat=p))
-    if k <= 16:
-        pairs = ((pre, cyc) for pre in pres for cyc in cycles)
-    else:
-        pairs = (
-            (pres[rng.randrange(len(pres))], cycles[rng.randrange(len(cycles))])
-            for _ in range(512)
-        )
-    for pre, cyc in pairs:
-        seq = EvPerSeq(tuple(pre), cyc)
-        if seq_limits(tw, seq) != frozenset(bits(verdicts[cyc][0])):
+    rng = random.Random(20260809)
+    for _ in range(min(64, 8 * len(cycles))):
+        i = rng.randrange(len(cycles))
+        a = rng.randrange(k)
+        ca, cb = conv1_conditions(space, EvPerSeq((), tuple(elems[t] for t in cycles[i])), elems[a])
+        if (ca and cb) != bool((verdicts[i][1] >> a) & 1):
             return CheckResult(
                 cid,
                 FAIL,
                 witness=(
-                    ("preperiod", _fmt_seq(env, elems, pre)),
-                    ("cycle", _fmt_seq(env, elems, cyc)),
-                    ("disagreement", "preperiod changed the limit set"),
+                    ("cycle", _fmt_seq(env, elems, cycles[i])),
+                    ("target", env.fmt(elems[a])),
+                    ("disagreement", "selection-condition masks vs conv1_conditions"),
                 ),
             )
-        n_seq += 1
+
+    # Convergence is a tail property: one cycle's worth of terms read
+    # through EvPerSeq.term() after a preperiod must give the cycle's limit
+    # set, whatever the preperiod holds. The preperiod repeats element 0,
+    # the empty set of F(X), which lies in no other element's tau_w
+    # neighborhood, so a walk that strays into it changes the limits.
+    n_seq = 0
+    for p in range(max_pre + 1):
+        pre = (0,) * p
+        for cyc, (lim_w, _) in zip(cycles, verdicts):
+            seq = EvPerSeq(pre, cyc)
+            lim = full_t
+            for j in range(p, p + len(cyc)):
+                lim &= tw.cols[seq.term(j)]
+            if lim != lim_w:
+                return CheckResult(
+                    cid,
+                    FAIL,
+                    witness=(
+                        ("preperiod", _fmt_seq(env, elems, pre)),
+                        ("cycle", _fmt_seq(env, elems, cyc)),
+                        ("disagreement", "preperiod changed the limit set"),
+                    ),
+                )
+        n_seq += k**p * len(cycles)
     return CheckResult(
         cid,
         PROXY,

@@ -5,6 +5,9 @@ import pytest
 
 from limhyper import (
     EvPerSeq,
+    HyperCarrier,
+    HyperTopology,
+    InvariantViolation,
     NotInCarrier,
     NotOpen,
     S_of,
@@ -15,6 +18,7 @@ from limhyper import (
     enumerate_topologies,
     eta,
     hyper_closure,
+    hyper_component,
     identity_continuous_at,
     inclusion_relation,
     is_closed_sub,
@@ -26,6 +30,7 @@ from limhyper import (
     is_primitive,
     is_separated_in,
     min_nbhd_oracle,
+    product_closure,
     product_is_closed,
     product_min_nbhd,
     seq_clusters,
@@ -34,6 +39,7 @@ from limhyper import (
 )
 from limhyper.finspace import bits
 from limhyper.limitsets import CARRIER_KINDS
+from limhyper.theorems import FAIL, CheckEnv, _cyclic_topology, corrupted_environments, run_check
 
 
 def spaces_upto(n_max, start=0):
@@ -103,6 +109,15 @@ def test_min_nbhd_oracle_modes(sierpinski):
     auto = min_nbhd_oracle(carrier(big, "F"), "w", 0b0011)
     built = build_topology(carrier(big, "F"), "w")
     assert built.min_nbhds[carrier(big, "F").index(0b0011)] <= auto
+
+
+def test_min_nbhd_oracle_refuses_result_missing_its_element(sierpinski, monkeypatch):
+    # an index pointing at the wrong element breaks the oracle's own
+    # invariant; the error must survive python -O, unlike an assert
+    f = carrier(sierpinski, "F")
+    monkeypatch.setattr(HyperCarrier, "index", lambda self, mask: len(self.elements) - 1)
+    with pytest.raises(InvariantViolation):
+        min_nbhd_oracle(f, "s", 0b10)
 
 
 # ------------------------------------------------------------ closure ops
@@ -199,6 +214,9 @@ def test_connectedness_examples(sierpinski, discrete2):
     assert is_connected_hyper(tw2)
     tw2p = build_topology(carrier(discrete2, "Lprime"), "w")
     assert not is_connected_hyper(tw2p)
+    lp = tw2p.carrier  # ({0}, {1})
+    assert hyper_component(tw2p, lp.index(0b01)) == frozenset({lp.index(0b01)})
+    assert hyper_component(tw, 0) == frozenset(range(len(tw)))
 
 
 def test_compact_cover(sierpinski):
@@ -287,6 +305,67 @@ def test_slice_of_product_open_is_open():
                 if row[a] & m == row[a]:
                     s_mask |= 1 << a
             assert s_pub == frozenset(bits(s_mask))
+
+
+def brute_product_verdict(lcar, ts, cap=1 << 16):
+    """check_product_structure's claim decided by enumerating product opens
+    and testing every slice for openness. The opens are all unions of
+    product minimal neighborhoods while there are at most ``cap`` of them;
+    past that (near-discrete tables with k >= 5), all unions of row hulls,
+    the unions of the minimal neighborhoods of the pairs in some rows."""
+    k = len(lcar.elements)
+    e = inclusion_relation(lcar)
+    if product_closure(ts, ts, e) != e:
+        return False
+    gens = [
+        sum(1 << (x * k + y) for x, y in product_min_nbhd(ts, ts, (i, j)))
+        for i in range(k)
+        for j in range(k)
+    ]
+    opens = {0}
+    for g in gens:
+        opens |= {m | g for m in opens}
+        if len(opens) > cap:
+            hulls = [0] * k
+            for t, g2 in enumerate(gens):
+                hulls[t // k] |= g2
+            opens = {0}
+            for h in hulls:
+                opens |= {m | h for m in opens}
+            break
+    row = (1 << k) - 1
+    for m in opens:
+        s = frozenset(a for a in range(k) if (m >> (a * k)) & row == row)
+        if any(not ts.min_nbhds[a] <= s for a in s):
+            return False
+    return True
+
+
+def test_exact_product_check_matches_enumeration():
+    # every space on at most three points, with its honest (L, tau_s) table,
+    # every corrupted environment's, a non-transitive cyclic table, and a
+    # non-reflexive shift on the antichain of maximal limit sets, where the
+    # inclusion relation stays closed and only the slice half can fail;
+    # the verdict depends only on the table and the inclusion relation
+    tables = {}
+    for space in spaces_upto(3, start=1):
+        envs = [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]
+        cyclic = _cyclic_topology(space, "L", "s")
+        if cyclic is not None:
+            envs.append(CheckEnv(space, topologies={("L", "s"): cyclic}))
+        ml = HyperCarrier(space, "L", carrier(space, "ML").elements)
+        if len(ml) >= 2:
+            shift = tuple(frozenset({(i + 1) % len(ml)}) for i in range(len(ml)))
+            envs.append(CheckEnv(space, carriers={"L": ml}, topologies={("L", "s"): HyperTopology(ml, "s", shift)}))
+        for env in envs:
+            ts = env.topology("L", "s")
+            tables.setdefault((ts.min_nbhds, inclusion_relation(env.carrier("L"))), env)
+    verdicts = set()
+    for env in tables.values():
+        exact = run_check("check_product_structure", env.space, env).status != FAIL
+        assert exact == brute_product_verdict(env.carrier("L"), env.topology("L", "s"))
+        verdicts.add(exact)
+    assert len(tables) > 50 and verdicts == {True, False}
 
 
 def test_slice_open_sampled_n4():

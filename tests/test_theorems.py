@@ -1,9 +1,14 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from limhyper import (
     BudgetExceeded,
+    carrier,
     enumerate_topologies,
     mine_check_failures,
+    parse_space,
     run_check,
     sweep,
     validate_topology,
@@ -16,8 +21,11 @@ from limhyper.theorems import (
     PASS,
     PROXY,
     TRIVIALLY_TRUE,
+    CheckEnv,
     corrupted_environments,
 )
+
+BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
 
 
 ALL_OK = (PASS, TRIVIALLY_TRUE, PROXY)
@@ -184,3 +192,66 @@ def test_fail_results_always_carry_witness(sierpinski, three_point):
         for cid, hit in mine_check_failures(space).items():
             assert hit.result.status == FAIL
             assert len(hit.result.witness) >= 1
+
+
+def _fell_selection_witness(cycle, target, fell, conds, prim):
+    return (
+        ("cycle", cycle),
+        ("target", target),
+        ("fell_convergence", fell),
+        ("selection_conditions", conds),
+        ("primitive_characterization", prim),
+    )
+
+
+GOLDEN_CONV_MINING = {
+    "sierpinski": (
+        "non-closed set injected into F",
+        _fell_selection_witness("({a})", "{a}", "true", "false", "false"),
+    ),
+    "three_point": (
+        "non-closed set injected into F",
+        _fell_selection_witness("({a})", "{a}", "true", "false", "false"),
+    ),
+    "discrete2": (
+        "cyclic neighborhood table on (F,tau_w)",
+        _fell_selection_witness("({})", "{}", "true", "true", "false"),
+    ),
+    "sierpinski_plus_isolated": (
+        "non-closed set injected into F",
+        _fell_selection_witness("({a})", "{a}", "true", "false", "false"),
+    ),
+}
+
+
+def test_conv_props_mining_witnesses_are_golden(
+    sierpinski, three_point, discrete2, sierpinski_plus_isolated
+):
+    # the first corruption detected and its witness, byte for byte, on the
+    # four spaces of the acceptance mining gate
+    spaces = {
+        "sierpinski": sierpinski,
+        "three_point": three_point,
+        "discrete2": discrete2,
+        "sierpinski_plus_isolated": sierpinski_plus_isolated,
+    }
+    for name, space in spaces.items():
+        hit = mine_check_failures(space, check_ids=("check_conv_props",))["check_conv_props"]
+        assert (hit.description, hit.result.witness) == GOLDEN_CONV_MINING[name], name
+
+
+def test_sequence_and_product_checks_are_exact():
+    # what `sweep 4` and `verify` on the benchmark documents run: neither
+    # check samples, and every in-budget sequence is counted
+    spaces = list(enumerate_topologies(4))
+    for name in ("discrete7", "discrete8", "chain16", "bipartite10"):
+        spaces.append(parse_space((BENCH_DOCS / f"{name}.json").read_text()).space)
+    for space in spaces:
+        env = CheckEnv(space)
+        product = run_check("check_product_structure", space, env)
+        conv = run_check("check_conv_props", space, env)
+        assert (product.status, conv.status) == (PASS, PROXY)
+        assert "sampled" not in product.notes and "sampled" not in conv.notes
+        k = len(carrier(space, "F").elements)
+        cycles, seqs = map(int, re.search(r"(\d+) cycles, (\d+) sequences", conv.notes).groups())
+        assert (cycles, seqs) == (k + k * k, (1 + k) * (k + k * k))
