@@ -12,10 +12,10 @@ import argparse
 import sys
 
 from .errors import AxiomViolation, BudgetExceeded, LimHyperError, ParseError
-from .finspace import canonical_key, digest, separated_points
-from .hyperspace import EvPerSeq, build_topology, hyper_closure, is_separated_in, seq_limits
+from .finspace import bits, digest, family_repr, separated_points, set_repr
+from .hyperspace import EvPerSeq, build_topology, is_separated_in, seq_limits
 from .limitsets import CARRIER_KINDS, carrier
-from .spaceio import LabeledSpace, emit_report, format_point_set, parse_point_set, parse_space
+from .spaceio import LabeledSpace, emit_report, parse_point_set, parse_space
 from .theorems import FAIL, sweep, verify_all
 
 def _load(path: str) -> LabeledSpace:
@@ -31,7 +31,7 @@ def _cmd_validate(args) -> int:
         return 1
     space = doc.space
     print(f"valid: {space.n} points, {len(space.opens)} open sets")
-    print("opens: " + " ".join(format_point_set(u, doc.labels) for u in space.opens))
+    print("opens: " + " ".join(set_repr(u, doc.labels) for u in space.opens))
     return 0
 
 
@@ -43,19 +43,15 @@ def _cmd_report(args) -> int:
     top = build_topology(car, flavor)
     ml = set(carrier(space, "ML").elements)
 
-    def fam(indices) -> str:
-        members = sorted((car.elements[i] for i in indices), key=canonical_key)
-        return "[" + " ".join(format_point_set(m, labels) for m in members) + "]"
-
     print(f"space: n={space.n} digest={digest(space)}")
-    print("points: " + format_point_set(space.full, labels))
-    print("opens: " + " ".join(format_point_set(u, labels) for u in space.opens))
-    print("separated points: " + format_point_set(separated_points(space), labels))
+    print("points: " + set_repr(space.full, labels))
+    print("opens: " + " ".join(set_repr(u, labels) for u in space.opens))
+    print("separated points: " + set_repr(separated_points(space), labels))
     print(f"carrier: {args.carrier}  topology: tau_{flavor}  elements: {len(car.elements)}")
     for i, m in enumerate(car.elements):
-        name = format_point_set(m, labels)
-        nbhd = fam(sorted(top.min_nbhds[i]))
-        clo = fam(sorted(hyper_closure(top, (i,))))
+        name = set_repr(m, labels)
+        nbhd = family_repr((car.elements[j] for j in bits(top.rows[i])), labels)
+        clo = family_repr((car.elements[j] for j in bits(top.cols[i])), labels)
         is_ml = "yes" if m in ml else "no"
         sep = "yes" if is_separated_in(top, i) else "no"
         print(f"{name}: min_nbhd={nbhd} closure={clo} ml={is_ml} separated={sep}")
@@ -98,7 +94,7 @@ def _parse_seq(spec: str, labels, closed_elems) -> EvPerSeq:
                 terms.append(closed_elems.index(mask))
             except ValueError:
                 raise ParseError(
-                    f"{format_point_set(mask, labels)} is not a closed set of the space"
+                    f"{set_repr(mask, labels)} is not a closed set of the space"
                 ) from None
         return tuple(terms)
 
@@ -116,7 +112,7 @@ def _cmd_converge(args) -> int:
     seq = _parse_seq(args.seq, labels, fcar.elements)
     target = parse_point_set(args.target, labels)
     if target not in fcar.elements:
-        raise ParseError(f"target {format_point_set(target, labels)} is not a closed set")
+        raise ParseError(f"target {set_repr(target, labels)} is not a closed set")
     top = build_topology(fcar, args.topology)
     limits = seq_limits(top, seq)
     print("limit: " + ("yes" if fcar.index(target) in limits else "no"))

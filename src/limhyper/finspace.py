@@ -43,9 +43,14 @@ def canonical_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
-def set_repr(mask: int) -> str:
-    """Render a bitmask as ``{0,2}`` for error messages and debugging."""
-    return "{" + ",".join(str(p) for p in bits(mask)) + "}"
+def set_repr(mask: int, labels: tuple[str, ...] | None = None) -> str:
+    """Render a bitmask as ``{0,2}``, or with point labels as ``{a,c}``."""
+    return "{" + ",".join(labels[p] if labels else str(p) for p in bits(mask)) + "}"
+
+
+def family_repr(masks: Iterable[int], labels: tuple[str, ...] | None = None) -> str:
+    """Render a set family as ``[{} {a} {a,b}]`` in canonical order."""
+    return "[" + " ".join(set_repr(m, labels) for m in sorted(masks, key=canonical_key)) + "]"
 
 
 @dataclass(frozen=True)

@@ -29,30 +29,31 @@ ORACLE_EXACT_OPENS = 12
 class HyperTopology:
     """Minimal-neighborhood table of tau_w or tau_s restricted to a carrier.
 
-    ``min_nbhds[i]`` is the set of carrier indices inside the least open
-    neighborhood of element i. The operations below read two bitmask views
-    of it over carrier indices, derived on first use: ``rows[i]`` holds
-    ``min_nbhds[i]`` and ``cols[j]`` holds {i : j in min_nbhds[i]}.
+    ``rows[i]`` is the bitmask of the carrier indices inside the least
+    open neighborhood of element i; it is the one stored table. ``cols``
+    is its transpose, derived on first use: ``cols[j]`` holds
+    {i : j in rows[i]}, the closure of element j.
     """
 
     carrier: HyperCarrier
     flavor: str
-    min_nbhds: tuple[frozenset[int], ...]
+    rows: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.carrier.elements)
 
     @cached_property
-    def rows(self) -> tuple[int, ...]:
-        return tuple(mask_of(nb) for nb in self.min_nbhds)
-
-    @cached_property
     def cols(self) -> tuple[int, ...]:
         cols = [0] * len(self)
-        for i, nb in enumerate(self.min_nbhds):
-            for j in nb:
+        for i, row in enumerate(self.rows):
+            for j in bits(row):
                 cols[j] |= 1 << i
         return tuple(cols)
+
+    @property
+    def min_nbhds(self) -> tuple[frozenset[int], ...]:
+        """Read-only view of ``rows`` as sets of carrier indices."""
+        return tuple(frozenset(bits(row)) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -89,28 +90,28 @@ def basic_open_membership(space: FinTopSpace, a: int, c: int, phi: Iterable[int]
 
 
 def build_topology(car: HyperCarrier, flavor: str) -> HyperTopology:
-    """Closed-form minimal neighborhoods.
+    """Closed-form minimal neighborhoods, as word operations.
 
     tau_w: B is in the minimal neighborhood of A iff B meets every open
-    that meets A. tau_s additionally requires B to be a subset of A: the
-    union of the compacts disjoint from A is the complement of A, so the
-    tightest miss constraint around A is exactly that complement.
+    that meets A, that is min_nbhd(x) for each x in A, since an open meets
+    A exactly when it contains some such min_nbhd(x); this holds for any
+    subset A, closed or not. tau_s additionally requires B to be a subset
+    of A: the union of the compacts disjoint from A is the complement of
+    A, so the tightest miss constraint around A is exactly that complement.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected 'w' or 's'")
     space = car.space
-    elems = car.elements
-    nbhds = []
-    for a in elems:
-        hits = [u for u in space.opens if u & a]
-        members = set()
-        for j, b in enumerate(elems):
-            if flavor == "s" and b & ~a:
-                continue
-            if all(b & u for u in hits):
-                members.add(j)
-        nbhds.append(frozenset(members))
-    return HyperTopology(car, flavor, tuple(nbhds))
+    near = [car.meeting(nb) for nb in space.rows]
+    rows = []
+    for a in car.elements:
+        row = (1 << len(car)) - 1
+        for x in bits(a):
+            row &= near[x]
+        if flavor == "s":
+            row &= ~car.meeting(space.full & ~a)
+        rows.append(row)
+    return HyperTopology(car, flavor, tuple(rows))
 
 
 def _submasks(mask: int):
@@ -195,7 +196,8 @@ def is_dense(top: HyperTopology, s: Iterable[int]) -> bool:
 
 
 def is_closed_sub(top: HyperTopology, s: Iterable[int]) -> bool:
-    return hyper_closure(top, s) == frozenset(s)
+    members = frozenset(s)
+    return hyper_closure(top, members) == members
 
 
 def identity_continuous_at(
@@ -213,7 +215,7 @@ def identity_continuous_at(
         topologies = (build_topology(car, "w"), build_topology(car, "s"))
     tw, ts = topologies
     idx = tw.carrier.index(a)
-    return tw.min_nbhds[idx] <= ts.min_nbhds[idx]
+    return not tw.rows[idx] & ~ts.rows[idx]
 
 
 def is_separated_in(top: HyperTopology, i: int) -> bool:
@@ -248,10 +250,6 @@ def is_connected_hyper(top: HyperTopology) -> bool:
     return len(top) <= 1 or len(hyper_component(top, 0)) == len(top)
 
 
-def _is_open_subset(top: HyperTopology, s: frozenset[int]) -> bool:
-    return all(top.min_nbhds[i] <= s for i in s)
-
-
 def is_compact_cover(top: HyperTopology, s: Iterable[int], cover: Sequence[Iterable[int]]) -> bool:
     """Verify a finite subcover of ``s`` exists inside ``cover``.
 
@@ -259,17 +257,16 @@ def is_compact_cover(top: HyperTopology, s: Iterable[int], cover: Sequence[Itera
     False when the cover fails to cover ``s``, which is the only way the
     search can fail on a finite carrier.
     """
-    sset = frozenset(s)
-    members = [frozenset(m) for m in cover]
+    members = [mask_of(m) for m in cover]
     for m in members:
-        if not _is_open_subset(top, m):
-            raise NotOpen(f"cover member {sorted(m)} is not open in the hyperspace")
-    covered: set[int] = set()
-    for i in sorted(sset):
-        if i in covered:
+        if any(top.rows[i] & ~m for i in bits(m)):
+            raise NotOpen(f"cover member {list(bits(m))} is not open in the hyperspace")
+    covered = 0
+    for i in bits(mask_of(s)):
+        if (covered >> i) & 1:
             continue
         for m in members:
-            if i in m:
+            if (m >> i) & 1:
                 covered |= m
                 break
         else:
@@ -283,18 +280,23 @@ def product_min_nbhd(
     """Minimal neighborhood of a pair in the product topology: the product
     of the factor minimal neighborhoods."""
     i, j = pair
-    return frozenset((x, y) for x in t1.min_nbhds[i] for y in t2.min_nbhds[j])
+    return frozenset((x, y) for x in bits(t1.rows[i]) for y in bits(t2.rows[j]))
 
 
 def product_closure(
     t1: HyperTopology, t2: HyperTopology, pairs: Iterable[tuple[int, int]]
 ) -> frozenset[tuple[int, int]]:
-    pset = frozenset(pairs)
+    """Pairs (i, j) whose product minimal neighborhood meets ``pairs``: row j
+    must meet the second coordinates paired with some point of row i."""
+    seconds = [0] * len(t1)
+    for x, y in pairs:
+        seconds[x] |= 1 << y
     out = set()
-    for i in range(len(t1)):
-        for j in range(len(t2)):
-            if any((x, y) in pset for x in t1.min_nbhds[i] for y in t2.min_nbhds[j]):
-                out.add((i, j))
+    for i, row in enumerate(t1.rows):
+        reach = 0
+        for x in bits(row):
+            reach |= seconds[x]
+        out.update((i, j) for j, other in enumerate(t2.rows) if other & reach)
     return frozenset(out)
 
 

@@ -37,6 +37,22 @@ class HyperCarrier:
         # filled back to front, so a repeated mask maps to its first index
         return {m: i for i, m in reversed(tuple(enumerate(self.elements)))}
 
+    @cached_property
+    def holding(self) -> tuple[int, ...]:
+        """``holding[x]``: mask of the carrier indices whose element holds x."""
+        cols = [0] * self.space.n
+        for i, m in enumerate(self.elements):
+            for x in bits(m):
+                cols[x] |= 1 << i
+        return tuple(cols)
+
+    def meeting(self, points: int) -> int:
+        """Mask of the carrier indices whose element meets ``points``."""
+        out = 0
+        for x in bits(points):
+            out |= self.holding[x]
+        return out
+
     def index(self, mask: int) -> int:
         try:
             return self._positions[mask]

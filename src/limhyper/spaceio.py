@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DuplicateLabel, ParseError
-from .finspace import FinTopSpace, bits, from_preorder, validate_topology
+from .finspace import FinTopSpace, from_preorder, validate_topology
 from .theorems import CheckResult, VerificationReport
 
 REPORT_SCHEMA = 1
@@ -23,10 +23,6 @@ REPORT_SCHEMA = 1
 class LabeledSpace:
     space: FinTopSpace
     labels: tuple[str, ...]
-
-
-def format_point_set(mask: int, labels: tuple[str, ...]) -> str:
-    return "{" + ",".join(labels[p] for p in bits(mask)) + "}"
 
 
 def parse_point_set(text: str, labels: tuple[str, ...]) -> int:

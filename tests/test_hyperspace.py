@@ -89,6 +89,26 @@ def test_build_topology_structural_invariants():
                     assert ts.min_nbhds[j] <= ts.min_nbhds[i]
 
 
+def test_build_topology_matches_oracle_on_corrupted_carriers():
+    # the carriers mining injects non-closed, non-limit and non-maximal
+    # elements into, or drops maximal ones from: the closed form holds for
+    # any family of subsets, not only for honest carriers
+    built = 0
+    for space in spaces_upto(3):
+        for _, factory in corrupted_environments(space):
+            env = factory()
+            for kind in CARRIER_KINDS:
+                car = env.carrier(kind)
+                if car.elements == carrier(space, kind).elements:
+                    continue
+                for flavor in ("w", "s"):
+                    top = build_topology(car, flavor)
+                    for i, a in enumerate(car.elements):
+                        assert top.min_nbhds[i] == min_nbhd_oracle(car, flavor, a, mode="exact")
+                    built += 1
+    assert built > 100
+
+
 def test_min_nbhd_oracle_examples(sierpinski):
     f = carrier(sierpinski, "F")
     assert min_nbhd_oracle(f, "s", 0b10) == frozenset({f.index(0b10)})
@@ -156,6 +176,9 @@ def test_density_and_closedness_examples(sierpinski, discrete2):
     assert is_dense(tw, fprime)
     l_idx = [f.index(m) for m in carrier(sierpinski, "L").elements]
     assert is_closed_sub(tw, l_idx)
+    # the empty set alone is closed, however the index set is handed in
+    assert is_closed_sub(tw, frozenset({0}))
+    assert is_closed_sub(tw, iter([0]))
 
     f2 = carrier(discrete2, "F")
     tw2 = build_topology(f2, "w")
@@ -355,7 +378,7 @@ def test_exact_product_check_matches_enumeration():
             envs.append(CheckEnv(space, topologies={("L", "s"): cyclic}))
         ml = HyperCarrier(space, "L", carrier(space, "ML").elements)
         if len(ml) >= 2:
-            shift = tuple(frozenset({(i + 1) % len(ml)}) for i in range(len(ml)))
+            shift = tuple(1 << (i + 1) % len(ml) for i in range(len(ml)))
             envs.append(CheckEnv(space, carriers={"L": ml}, topologies={("L", "s"): HyperTopology(ml, "s", shift)}))
         for env in envs:
             ts = env.topology("L", "s")

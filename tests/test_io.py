@@ -12,7 +12,8 @@ from limhyper import (
     validate_topology,
     verify_all,
 )
-from limhyper.spaceio import format_point_set, parse_point_set
+from limhyper.finspace import set_repr
+from limhyper.spaceio import parse_point_set
 
 SIERPINSKI_DOC = '{"points": ["a", "b"], "opens": [[], ["a"], ["a", "b"]]}'
 
@@ -63,7 +64,7 @@ def test_parse_space_invariant_to_opens_ordering():
 def test_point_set_round_trip():
     labels = ("a", "b", "c")
     for mask in range(8):
-        assert parse_point_set(format_point_set(mask, labels), labels) == mask
+        assert parse_point_set(set_repr(mask, labels), labels) == mask
     with pytest.raises(ParseError):
         parse_point_set("{z}", labels)
     with pytest.raises(ParseError):
