@@ -14,10 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import BudgetExceeded, InvariantViolation, NotOpen
-from .finspace import FinTopSpace, bits, canonical_key, mask_of, set_repr
+from .finspace import FinTopSpace, bits, mask_of, set_repr
 from .limitsets import HyperCarrier, carrier as build_carrier
 
 FLAVORS = ("w", "s")
@@ -49,6 +49,14 @@ class HyperTopology:
             for j in bits(row):
                 cols[j] |= 1 << i
         return tuple(cols)
+
+    @cached_property
+    def open_rows(self) -> int:
+        """Mask of the indices i whose row is open: rows[j] lies inside
+        rows[i] for every j in rows[i]. Every row of a topology's table is
+        open; a table that is not transitive has rows that are not."""
+        rows = self.rows
+        return mask_of(i for i, row in enumerate(rows) if not any(rows[j] & ~row for j in bits(row)))
 
     @property
     def min_nbhds(self) -> tuple[frozenset[int], ...]:
@@ -250,28 +258,24 @@ def is_connected_hyper(top: HyperTopology) -> bool:
     return len(top) <= 1 or len(hyper_component(top, 0)) == len(top)
 
 
-def is_compact_cover(top: HyperTopology, s: Iterable[int], cover: Sequence[Iterable[int]]) -> bool:
+def is_compact_cover(top: HyperTopology, s: Iterable[int], cover: Iterable[int]) -> bool:
     """Verify a finite subcover of ``s`` exists inside ``cover``.
 
-    Cover members must be open (unions of minimal neighborhoods). Returns
-    False when the cover fails to cover ``s``, which is the only way the
-    search can fail on a finite carrier.
+    The cover is given as row indices: member i is the minimal
+    neighborhood ``top.rows[i]``, which must be open (see ``open_rows``);
+    the lowest index whose row is not raises ``NotOpen``. A finite cover
+    is its own finite subcover, so the result is whether the rows cover
+    ``s``.
     """
-    members = [mask_of(m) for m in cover]
-    for m in members:
-        if any(top.rows[i] & ~m for i in bits(m)):
-            raise NotOpen(f"cover member {list(bits(m))} is not open in the hyperspace")
+    members = mask_of(cover)
+    bad = members & ~top.open_rows
+    if bad:
+        row = top.rows[(bad & -bad).bit_length() - 1]
+        raise NotOpen(f"cover member {list(bits(row))} is not open in the hyperspace")
     covered = 0
-    for i in bits(mask_of(s)):
-        if (covered >> i) & 1:
-            continue
-        for m in members:
-            if (m >> i) & 1:
-                covered |= m
-                break
-        else:
-            return False
-    return True
+    for i in bits(members):
+        covered |= top.rows[i]
+    return not mask_of(s) & ~covered
 
 
 def product_min_nbhd(
@@ -358,7 +362,9 @@ def conv1_conditions(space: FinTopSpace, seq: EvPerSeq, a: int) -> tuple[bool, b
     from infinitely many cycle terms lies in ``a``. A periodic selection
     converges to x exactly when each chosen point sits in min_nbhd(x), and
     selecting through more positions only shrinks the attainable limits,
-    so single-position selections decide the condition.
+    so single-position selections decide the condition: no term may meet
+    ``escape``, the union of the minimal neighborhoods of the points
+    outside ``a``.
 
     Second condition: every point of ``a`` is the limit of a full
     selection through the cycle. The positions constrain independently, so
@@ -366,18 +372,14 @@ def conv1_conditions(space: FinTopSpace, seq: EvPerSeq, a: int) -> tuple[bool, b
 
     Convergence is a tail property; the preperiod never matters.
     """
-    mins = space.rows
-    terms = sorted(set(seq.cycle), key=canonical_key)
-
-    cond_a = True
-    for t in terms:
-        if not cond_a:
-            break
-        for p in bits(t):
-            bad = any((mins[x] >> p) & 1 and not (a >> x) & 1 for x in range(space.n))
-            if bad:
-                cond_a = False
-                break
-
-    cond_b = all(t & mins[x] for x in bits(a) for t in terms)
+    terms = set(seq.cycle)
+    escape = 0
+    inside = []
+    for x, row in enumerate(space.rows):
+        if (a >> x) & 1:
+            inside.append(row)
+        else:
+            escape |= row
+    cond_a = not any(t & escape for t in terms)
+    cond_b = all(t & row for row in inside for t in terms)
     return cond_a, cond_b

@@ -138,16 +138,23 @@ def parse_report(text: str) -> VerificationReport:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("report must be a JSON object")
     if doc.get("schema") != REPORT_SCHEMA:
         raise ParseError(f"unsupported report schema {doc.get('schema')!r}")
-    labels = tuple(doc["space"]["points"])
-    results = tuple(
-        CheckResult(
-            entry["check_id"],
-            entry["status"],
-            tuple((k, v) for k, v in entry.get("witness", {}).items()),
-            entry.get("notes", ""),
+    try:
+        labels = tuple(doc["space"]["points"])
+        results = tuple(
+            CheckResult(
+                entry["check_id"],
+                entry["status"],
+                tuple((k, v) for k, v in entry.get("witness", {}).items()),
+                entry.get("notes", ""),
+            )
+            for entry in doc["checks"]
         )
-        for entry in doc["checks"]
-    )
-    return VerificationReport(doc["space"]["digest"], len(labels), labels, results)
+        return VerificationReport(doc["space"]["digest"], len(labels), labels, results)
+    except KeyError as exc:
+        raise ParseError(f"report is missing the field {exc}") from None
+    except (TypeError, AttributeError):
+        raise ParseError("report fields have the wrong JSON types") from None

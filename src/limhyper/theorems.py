@@ -285,8 +285,7 @@ def check_compactness_lemma(space, env, families=None):
             families.append(tuple(1 << x for x in range(space.n)))
     for fam in families:
         s = [i for i, a in enumerate(elems) if all(a & c for c in fam)]
-        cover = [bits(t.rows[i]) for i in s]
-        if not is_compact_cover(t, s, cover):
+        if not is_compact_cover(t, s, s):
             return CheckResult(
                 cid,
                 FAIL,
@@ -329,7 +328,7 @@ def check_local_compactness(space, env):
                         ("outer", env.fmt_indices(t.carrier, bits(outer))),
                     ),
                 )
-            if not is_compact_cover(t, bits(inner), [bits(t.rows[j]) for j in bits(inner)]):
+            if not is_compact_cover(t, bits(inner), bits(inner)):
                 return CheckResult(
                     cid,
                     FAIL,
@@ -346,12 +345,11 @@ def check_local_compactness(space, env):
 def _not_a_topology_at(t):
     """First carrier index whose row breaks reflexivity or transitivity,
     or None when the table is the minimal-neighborhood table of a
-    topology, which the Baire and product reductions need."""
-    rows = t.rows
-    for a, row in enumerate(rows):
-        if not (row >> a) & 1 or any(rows[b] & ~row for b in bits(row)):
-            return a
-    return None
+    topology, which the Baire and product reductions need. A transitive
+    table is one whose rows are all open."""
+    bad = ((1 << len(t)) - 1) & ~t.open_rows
+    bad |= mask_of(a for a, row in enumerate(t.rows) if not (row >> a) & 1)
+    return (bad & -bad).bit_length() - 1 if bad else None
 
 
 def _meet_of_dense_opens(t):
@@ -512,15 +510,22 @@ def check_conv_props(space, env, max_pre=1, max_cycle=2):
     point-selection conditions, and primitivity in tau_w with limit set
     equal to the closed subsets of A.
 
-    Each cycle decides all targets at once as bitmasks over carrier
-    indices. A seeded sample of the selection-condition verdicts is
-    re-evaluated through ``conv1_conditions``, which decides them from the
-    point-level definition instead.
+    All three verdicts depend on the set of cycle terms only: the limits
+    and clusters are ANDs and ORs of table columns, and the selection
+    conditions are the AND of one mask per term. So each set of at most
+    ``max_cycle`` terms is decided once, for all targets at once as
+    bitmasks over carrier indices, in the lexicographic order of its
+    sorted terms; that order meets the sorted form of the first failing
+    ordered cycle first. A seeded sample of ordered cycles is re-evaluated
+    through ``conv1_conditions``, which decides the selection conditions
+    from the point-level definition instead, and every ordered cycle is
+    walked through ``EvPerSeq.term()`` after every preperiod length.
     """
     cid = "check_conv_props"
     tw = env.topology("F", "w")
     ts = env.topology("F", "s")
-    elems = tw.carrier.elements
+    car = tw.carrier
+    elems = car.elements
     k = len(elems)
     if k == 0:
         return CheckResult(cid, PROXY, notes="empty carrier")
@@ -530,60 +535,65 @@ def check_conv_props(space, env, max_pre=1, max_cycle=2):
         raise BudgetExceeded(f"{n_cycles} cycles exceed the sequence budget")
 
     full_t = (1 << k) - 1
-    holding = tw.carrier.holding
+    cols_w, cols_s = tw.cols, ts.cols
     # targets keyed by their closed subsets, as a mask of carrier indices
     by_subsets: dict[int, int] = {}
     for a, m in enumerate(elems):
-        subs = full_t & ~tw.carrier.meeting(space.full & ~m)
+        subs = full_t & ~car.meeting(space.full & ~m)
         by_subsets[subs] = by_subsets.get(subs, 0) | 1 << a
     # near[t]: points x whose minimal neighborhood meets term t, i.e. the
-    # limits of constant point sequences drawn from t
+    # limits of constant point sequences drawn from t. A cycle's selection
+    # conditions hold for the targets A with reach <= A <= good, reach and
+    # good the union and the intersection of near over its terms; holding
+    # and meeting distribute over unions of points, so that is the AND over
+    # the terms of sel[t], the targets with reach <= A <= good for t alone.
     mins = space.rows
     near = [mask_of(x for x in range(space.n) if m & mins[x]) for m in elems]
+    sel = []
+    for nt in near:
+        s = full_t & ~car.meeting(space.full & ~nt)
+        for x in bits(nt):
+            s &= car.holding[x]
+        sel.append(s)
+
+    for c in range(1, max_cycle + 1):
+        for terms in itertools.combinations(range(k), c):
+            lim_w = lim_s = conds = full_t
+            clu_w = 0
+            for t in terms:
+                lim_w &= cols_w[t]
+                clu_w |= cols_w[t]
+                lim_s &= cols_s[t]
+                conds &= sel[t]
+            p22 = by_subsets.get(lim_w, 0) if lim_w == clu_w else 0
+            bad = (lim_s ^ conds) | (conds ^ p22)
+            if bad:
+                a = (bad & -bad).bit_length() - 1
+                return CheckResult(
+                    cid,
+                    FAIL,
+                    witness=(
+                        ("cycle", _fmt_seq(env, elems, terms)),
+                        ("target", env.fmt(elems[a])),
+                        ("fell_convergence", _flag(lim_s, a)),
+                        ("selection_conditions", _flag(conds, a)),
+                        ("primitive_characterization", _flag(p22, a)),
+                    ),
+                )
 
     cycles = []
     for c in range(1, max_cycle + 1):
         cycles.extend(itertools.product(range(k), repeat=c))
-
-    verdicts = []
-    for cyc in cycles:
-        lim_w = lim_s = full_t
-        clu_w = reach = 0
-        good = space.full
-        for t in cyc:
-            lim_w &= tw.cols[t]
-            clu_w |= tw.cols[t]
-            lim_s &= ts.cols[t]
-            reach |= near[t]
-            good &= near[t]
-        # the selection conditions hold for the targets A with reach <= A <= good
-        conds = full_t
-        for x in bits(reach):
-            conds &= holding[x]
-        conds &= ~tw.carrier.meeting(space.full & ~good)
-        p22 = by_subsets.get(lim_w, 0) if lim_w == clu_w else 0
-        bad = (lim_s ^ conds) | (conds ^ p22)
-        if bad:
-            a = (bad & -bad).bit_length() - 1
-            return CheckResult(
-                cid,
-                FAIL,
-                witness=(
-                    ("cycle", _fmt_seq(env, elems, cyc)),
-                    ("target", env.fmt(elems[a])),
-                    ("fell_convergence", _flag(lim_s, a)),
-                    ("selection_conditions", _flag(conds, a)),
-                    ("primitive_characterization", _flag(p22, a)),
-                ),
-            )
-        verdicts.append((lim_w, conds))
 
     rng = random.Random(20260809)
     for _ in range(min(64, 8 * len(cycles))):
         i = rng.randrange(len(cycles))
         a = rng.randrange(k)
         ca, cb = conv1_conditions(space, EvPerSeq((), tuple(elems[t] for t in cycles[i])), elems[a])
-        if (ca and cb) != bool((verdicts[i][1] >> a) & 1):
+        conds = full_t
+        for t in cycles[i]:
+            conds &= sel[t]
+        if (ca and cb) != bool((conds >> a) & 1):
             return CheckResult(
                 cid,
                 FAIL,
@@ -602,11 +612,12 @@ def check_conv_props(space, env, max_pre=1, max_cycle=2):
     n_seq = 0
     for p in range(max_pre + 1):
         pre = (0,) * p
-        for cyc, (lim_w, _) in zip(cycles, verdicts):
+        for cyc in cycles:
             seq = EvPerSeq(pre, cyc)
-            lim = full_t
-            for j in range(p, p + len(cyc)):
-                lim &= tw.cols[seq.term(j)]
+            lim = lim_w = full_t
+            for j, t in enumerate(cyc, p):
+                lim &= cols_w[seq.term(j)]
+                lim_w &= cols_w[t]
             if lim != lim_w:
                 return CheckResult(
                     cid,

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,13 +13,24 @@ from limhyper import (
     enumerate_topologies,
     from_preorder,
     is_T0,
+    parse_space,
     is_connected,
     min_nbhd,
     separated_points,
     specialization_pairs,
     validate_topology,
 )
-from limhyper.finspace import bits, canonical_key, digest, full_mask
+from limhyper.finspace import (
+    FinTopSpace,
+    _preorder_rows,
+    _space_from_rows,
+    bits,
+    canonical_key,
+    digest,
+    full_mask,
+)
+
+BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
 
 
 # ---------------------------------------------------------------- oracles
@@ -226,6 +239,30 @@ def test_from_preorder_opens_are_up_sets():
             for z in range(space.n):
                 if (x, z) in pairs:
                     assert (u >> z) & 1
+
+
+def subset_union_space(n, rows):
+    """Opens as the unions of the rows over all 2^n point subsets."""
+    fam = set()
+    for sub in range(1 << n):
+        u = 0
+        for i in bits(sub):
+            u |= rows[i]
+        fam.add(u)
+    return FinTopSpace(n, tuple(sorted(fam, key=canonical_key)))
+
+
+def test_space_from_rows_matches_subset_unions():
+    tables = 0
+    for n in range(5):
+        for rows in _preorder_rows(n):
+            assert _space_from_rows(n, rows) == subset_union_space(n, rows)
+            tables += 1
+    assert tables == 1 + 1 + 4 + 29 + 355
+    for name in ("chain16", "bipartite10"):
+        space = parse_space((BENCH_DOCS / f"{name}.json").read_text()).space
+        want = subset_union_space(space.n, space.rows)
+        assert space == want == _space_from_rows(space.n, space.rows), name
 
 
 def test_preorder_round_trip_on_enumeration():

@@ -89,6 +89,18 @@ def test_emit_json_round_trip(sierpinski):
     assert parsed.results == report.results
 
 
+def test_parse_report_rejects_malformed_structure(sierpinski):
+    doc = json.loads(emit_report(verify_all(sierpinski, labels=("a", "b")), "json"))
+    with pytest.raises(ParseError, match="JSON object"):
+        parse_report("[]")
+    no_space = {k: v for k, v in doc.items() if k != "space"}
+    with pytest.raises(ParseError, match="'space'"):
+        parse_report(json.dumps(no_space))
+    no_check_id = dict(doc, checks=[{"status": "pass"}])
+    with pytest.raises(ParseError, match="'check_id'"):
+        parse_report(json.dumps(no_check_id))
+
+
 def test_emit_is_deterministic(three_point):
     a = emit_report(verify_all(three_point), "json")
     b = emit_report(verify_all(three_point), "json")

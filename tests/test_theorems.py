@@ -1,3 +1,5 @@
+import itertools
+import random
 import re
 from pathlib import Path
 
@@ -5,7 +7,9 @@ import pytest
 
 from limhyper import (
     BudgetExceeded,
+    EvPerSeq,
     carrier,
+    conv1_conditions,
     enumerate_topologies,
     mine_check_failures,
     parse_space,
@@ -14,6 +18,7 @@ from limhyper import (
     validate_topology,
     verify_all,
 )
+from limhyper.finspace import bits, canonical_key, mask_of
 from limhyper.spaceio import parse_point_set
 from limhyper.theorems import (
     CHECKS,
@@ -22,8 +27,12 @@ from limhyper.theorems import (
     PROXY,
     TRIVIALLY_TRUE,
     CheckEnv,
+    CheckResult,
+    _flag,
+    _fmt_seq,
     _meet_of_dense_opens,
     _not_a_topology_at,
+    check_conv_props,
     corrupted_environments,
 )
 
@@ -294,3 +303,150 @@ def test_exact_baire_matches_dense_open_enumeration():
                         assert [key for key, _ in result.witness] == ["carrier", "not_a_topology_at"]
                         rejected += 1
     assert exact > 10000 and rejected > 0
+
+
+# ------------------------------ the per-cycle loops, kept as references
+
+def pointwise_conv1_conditions(space, seq, a):
+    """``conv1_conditions`` with its first condition tested point by point,
+    as it was before it became one OR of minimal neighborhoods."""
+    mins = space.rows
+    terms = sorted(set(seq.cycle), key=canonical_key)
+    cond_a = True
+    for t in terms:
+        if not cond_a:
+            break
+        for p in bits(t):
+            bad = any((mins[x] >> p) & 1 and not (a >> x) & 1 for x in range(space.n))
+            if bad:
+                cond_a = False
+                break
+    cond_b = all(t & mins[x] for x in bits(a) for t in terms)
+    return cond_a, cond_b
+
+
+def per_cycle_conv_props(space, env, max_pre=1, max_cycle=2):
+    """``check_conv_props`` deciding every ordered cycle on its own, as it
+    did before it decided each set of cycle terms once."""
+    cid = "check_conv_props"
+    tw = env.topology("F", "w")
+    ts = env.topology("F", "s")
+    elems = tw.carrier.elements
+    k = len(elems)
+    if k == 0:
+        return CheckResult(cid, PROXY, notes="empty carrier")
+    full_t = (1 << k) - 1
+    holding = tw.carrier.holding
+    by_subsets = {}
+    for a, m in enumerate(elems):
+        subs = full_t & ~tw.carrier.meeting(space.full & ~m)
+        by_subsets[subs] = by_subsets.get(subs, 0) | 1 << a
+    mins = space.rows
+    near = [mask_of(x for x in range(space.n) if m & mins[x]) for m in elems]
+    cycles = []
+    for c in range(1, max_cycle + 1):
+        cycles.extend(itertools.product(range(k), repeat=c))
+    verdicts = []
+    for cyc in cycles:
+        lim_w = lim_s = full_t
+        clu_w = reach = 0
+        good = space.full
+        for t in cyc:
+            lim_w &= tw.cols[t]
+            clu_w |= tw.cols[t]
+            lim_s &= ts.cols[t]
+            reach |= near[t]
+            good &= near[t]
+        conds = full_t
+        for x in bits(reach):
+            conds &= holding[x]
+        conds &= ~tw.carrier.meeting(space.full & ~good)
+        p22 = by_subsets.get(lim_w, 0) if lim_w == clu_w else 0
+        bad = (lim_s ^ conds) | (conds ^ p22)
+        if bad:
+            a = (bad & -bad).bit_length() - 1
+            return CheckResult(
+                cid,
+                FAIL,
+                witness=(
+                    ("cycle", _fmt_seq(env, elems, cyc)),
+                    ("target", env.fmt(elems[a])),
+                    ("fell_convergence", _flag(lim_s, a)),
+                    ("selection_conditions", _flag(conds, a)),
+                    ("primitive_characterization", _flag(p22, a)),
+                ),
+            )
+        verdicts.append((lim_w, conds))
+    rng = random.Random(20260809)
+    for _ in range(min(64, 8 * len(cycles))):
+        i = rng.randrange(len(cycles))
+        a = rng.randrange(k)
+        seq = EvPerSeq((), tuple(elems[t] for t in cycles[i]))
+        ca, cb = pointwise_conv1_conditions(space, seq, elems[a])
+        if (ca and cb) != bool((verdicts[i][1] >> a) & 1):
+            return CheckResult(
+                cid,
+                FAIL,
+                witness=(
+                    ("cycle", _fmt_seq(env, elems, cycles[i])),
+                    ("target", env.fmt(elems[a])),
+                    ("disagreement", "selection-condition masks vs conv1_conditions"),
+                ),
+            )
+    n_seq = 0
+    for p in range(max_pre + 1):
+        pre = (0,) * p
+        for cyc, (lim_w, _) in zip(cycles, verdicts):
+            seq = EvPerSeq(pre, cyc)
+            lim = full_t
+            for j in range(p, p + len(cyc)):
+                lim &= tw.cols[seq.term(j)]
+            if lim != lim_w:
+                return CheckResult(
+                    cid,
+                    FAIL,
+                    witness=(
+                        ("preperiod", _fmt_seq(env, elems, pre)),
+                        ("cycle", _fmt_seq(env, elems, cyc)),
+                        ("disagreement", "preperiod changed the limit set"),
+                    ),
+                )
+        n_seq += k**p * len(cycles)
+    return CheckResult(
+        cid,
+        PROXY,
+        notes=(
+            f"sequences stand in for nets; {len(cycles)} cycles, {n_seq} sequences "
+            f"(preperiod<={max_pre}, cycle<={max_cycle}) over F(X)"
+        ),
+    )
+
+
+def test_conv1_first_condition_matches_pointwise_loop():
+    # every subset of the ground set as a cycle term and as a target, so
+    # non-closed terms and targets are covered too
+    for n in range(4):
+        for space in enumerate_topologies(n):
+            subsets = range(space.full + 1)
+            for c in (1, 2):
+                for cyc in itertools.product(subsets, repeat=c):
+                    seq = EvPerSeq((), cyc)
+                    for a in subsets:
+                        assert conv1_conditions(space, seq, a) == pointwise_conv1_conditions(space, seq, a)
+
+
+def test_conv_props_per_set_matches_per_cycle_loop():
+    # status, witness and notes, on the honest environment and on every
+    # corrupted one of each space on at most three points; the longer
+    # budgets reach cycles of three terms and preperiods of two
+    failures = 0
+    for n in range(4):
+        for space in enumerate_topologies(n):
+            envs = [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]
+            for env in envs:
+                for max_pre, max_cycle in ((1, 2), (0, 1), (2, 3)):
+                    got = check_conv_props(space, env, max_pre=max_pre, max_cycle=max_cycle)
+                    want = per_cycle_conv_props(space, env, max_pre=max_pre, max_cycle=max_cycle)
+                    assert (got.status, got.witness, got.notes) == (want.status, want.witness, want.notes)
+                    failures += got.status == FAIL
+    assert failures > 0
