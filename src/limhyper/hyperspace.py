@@ -258,24 +258,23 @@ def is_connected_hyper(top: HyperTopology) -> bool:
     return len(top) <= 1 or len(hyper_component(top, 0)) == len(top)
 
 
-def is_compact_cover(top: HyperTopology, s: Iterable[int], cover: Iterable[int]) -> bool:
+def is_compact_cover(top: HyperTopology, s: int, cover: int) -> bool:
     """Verify a finite subcover of ``s`` exists inside ``cover``.
 
-    The cover is given as row indices: member i is the minimal
+    Both are masks of carrier indices. The cover's member i is the minimal
     neighborhood ``top.rows[i]``, which must be open (see ``open_rows``);
     the lowest index whose row is not raises ``NotOpen``. A finite cover
     is its own finite subcover, so the result is whether the rows cover
     ``s``.
     """
-    members = mask_of(cover)
-    bad = members & ~top.open_rows
+    bad = cover & ~top.open_rows
     if bad:
         row = top.rows[(bad & -bad).bit_length() - 1]
         raise NotOpen(f"cover member {list(bits(row))} is not open in the hyperspace")
     covered = 0
-    for i in bits(members):
+    for i in bits(cover):
         covered |= top.rows[i]
-    return not mask_of(s) & ~covered
+    return not s & ~covered
 
 
 def product_min_nbhd(

@@ -245,15 +245,15 @@ def test_connectedness_examples(sierpinski, discrete2):
 def test_compact_cover(sierpinski):
     f = carrier(sierpinski, "F")
     tw = build_topology(f, "w")
-    everything = list(range(len(f.elements)))
+    everything = (1 << len(f.elements)) - 1
     assert is_compact_cover(tw, everything, everything)
-    assert not is_compact_cover(tw, everything, [f.index(0b11)])
-    assert is_compact_cover(tw, everything, [f.index(0)])  # the row of {} is the carrier
+    assert not is_compact_cover(tw, everything, 1 << f.index(0b11))
+    assert is_compact_cover(tw, everything, 1 << f.index(0))  # the row of {} is the carrier
     # an honest table has no row that is not open; the cyclic one does
     cyc = _cyclic_topology(sierpinski, "F", "w")  # rows {0,1} {1,2} {0,2}
     assert cyc.open_rows == 0
     with pytest.raises(NotOpen, match=r"cover member \[1, 2\] is not open"):
-        is_compact_cover(cyc, everything, [2, 1])
+        is_compact_cover(cyc, everything, 1 << 2 | 1 << 1)
 
 
 def member_wise_compact_cover(top, s, cover):
@@ -302,10 +302,9 @@ def test_compact_cover_by_row_index_matches_member_wise_search():
         full = (1 << k) - 1
         covers = range(full + 1) if k <= 6 else [rng.getrandbits(k) for _ in range(64)]
         for cover_mask in covers:
-            cover = list(bits(cover_mask))
             for s in (full, cover_mask, rng.getrandbits(k) if k else 0):
-                rows_cover = [bits(t.rows[i]) for i in cover]
-                got = _cover_outcome(is_compact_cover, t, bits(s), cover)
+                rows_cover = [bits(t.rows[i]) for i in bits(cover_mask)]
+                got = _cover_outcome(is_compact_cover, t, s, cover_mask)
                 assert got == _cover_outcome(member_wise_compact_cover, t, bits(s), rows_cover)
                 outcomes.add(got if isinstance(got, bool) else "NotOpen")
     assert len(tables) > 400 and outcomes == {True, False, "NotOpen"}
@@ -475,6 +474,18 @@ def test_evperseq_terms():
     assert [seq.term(k) for k in range(6)] == [7, 1, 2, 1, 2, 1]
     with pytest.raises(ValueError):
         EvPerSeq((), ())
+
+
+def test_evperseq_term_matches_index_arithmetic():
+    # every preperiod of at most three terms and every cycle of one to four
+    # terms over a three-letter alphabet, read up to three cycles past the
+    # preperiod; check_conv_props counts these sequences without walking them
+    for p in range(4):
+        for pre in itertools.product(range(3), repeat=p):
+            for c in range(1, 5):
+                for cyc in itertools.product(range(3), repeat=c):
+                    seq = EvPerSeq(pre, cyc)
+                    assert [seq.term(j) for j in range(p + 3 * c)] == list(pre + cyc * 3)
 
 
 def test_seq_ops_sierpinski_constant_at_x(sierpinski):

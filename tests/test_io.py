@@ -115,7 +115,7 @@ def test_witnesses_render_with_labels(sierpinski):
     rendered = dict(result.witness)
     for value in rendered.values():
         assert "0b" not in value and "mask" not in value
-    report_labels = hit["check_closure_singleton"].env.labels
+    report_labels = hit["check_closure_singleton"].labels
     assert report_labels == ("a", "b")
 
 

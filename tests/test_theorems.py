@@ -32,6 +32,7 @@ from limhyper.theorems import (
     _fmt_seq,
     _meet_of_dense_opens,
     _not_a_topology_at,
+    _spot_check_plan,
     check_conv_props,
     corrupted_environments,
 )
@@ -171,9 +172,9 @@ def test_mined_witness_self_validates(sierpinski):
     found = mine_check_failures(sierpinski, check_ids=("check_closure_singleton",))
     hit = found["check_closure_singleton"]
     witness = dict(hit.result.witness)
-    env = hit.env
+    env = dict(corrupted_environments(sierpinski))[hit.description]()
     t = env.topology("F", "w")
-    elem = parse_point_set(witness["element"], env.labels)
+    elem = parse_point_set(witness["element"], hit.labels)
     i = t.carrier.index(elem)
     got = hyper_closure(t, (i,))
     expected = frozenset(
@@ -420,6 +421,28 @@ def per_cycle_conv_props(space, env, max_pre=1, max_cycle=2):
             f"(preperiod<={max_pre}, cycle<={max_cycle}) over F(X)"
         ),
     )
+
+
+def inline_spot_check_plan(k, max_cycle):
+    """The seeded cross-check samples as ``check_conv_props`` drew them
+    inline, from the list of every ordered cycle, before the plan was
+    cached per (k, max_cycle)."""
+    cycles = []
+    for c in range(1, max_cycle + 1):
+        cycles.extend(itertools.product(range(k), repeat=c))
+    rng = random.Random(20260809)
+    plan = []
+    for _ in range(min(64, 8 * len(cycles))):
+        i = rng.randrange(len(cycles))
+        a = rng.randrange(k)
+        plan.append((cycles[i], a))
+    return tuple(plan)
+
+
+def test_spot_check_plan_matches_inline_draws():
+    for k in range(1, 41):
+        for max_cycle in (1, 2, 3):
+            assert _spot_check_plan(k, max_cycle) == inline_spot_check_plan(k, max_cycle), (k, max_cycle)
 
 
 def test_conv1_first_condition_matches_pointwise_loop():
