@@ -115,7 +115,7 @@ def _cmd_converge(args) -> int:
         raise ParseError(f"target {set_repr(target, labels)} is not a closed set")
     top = build_topology(fcar, args.topology)
     limits = seq_limits(top, seq)
-    print("limit: " + ("yes" if fcar.index(target) in limits else "no"))
+    print("limit: " + ("yes" if (limits >> fcar.index(target)) & 1 else "no"))
     return 0
 
 

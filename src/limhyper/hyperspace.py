@@ -6,23 +6,24 @@ space every carrier element has an inclusion-least basic open around it,
 and the table of those neighborhoods determines closure, density,
 separation and convergence. ``build_topology`` uses closed forms for the
 tables; ``min_nbhd_oracle`` recomputes them by literally intersecting
-basic opens and exists so the closed forms are never trusted silently.
+subbasic opens and exists so the closed forms are never trusted silently.
+
+A set of carrier indices is a bitmask, as a set of points is; a relation
+on carrier indices is a tuple of such masks, one row per index, the form
+of ``HyperTopology.rows``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import BudgetExceeded, InvariantViolation, NotOpen
+from .errors import InvariantViolation, NotOpen
 from .finspace import FinTopSpace, bits, mask_of, set_repr
 from .limitsets import HyperCarrier, carrier as build_carrier
 
 FLAVORS = ("w", "s")
-
-ORACLE_EXACT_OPENS = 12
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,9 @@ class HyperTopology:
 
     @property
     def min_nbhds(self) -> tuple[frozenset[int], ...]:
-        """Read-only view of ``rows`` as sets of carrier indices."""
+        """Read-only view of ``rows`` as sets of carrier indices, the one
+        frozenset form left; the benchmark's tracer in ``perfbench/`` reads
+        it."""
         return tuple(frozenset(bits(row)) for row in self.rows)
 
 
@@ -122,90 +125,51 @@ def build_topology(car: HyperCarrier, flavor: str) -> HyperTopology:
     return HyperTopology(car, flavor, tuple(rows))
 
 
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+def min_nbhd_oracle(car: HyperCarrier, flavor: str, a: int) -> int:
+    """Minimal neighborhood of ``a`` by brute force: the mask of the
+    carrier elements lying in every subbasic open around a.
 
-
-def min_nbhd_oracle(
-    car: HyperCarrier,
-    flavor: str,
-    a: int,
-    mode: str = "auto",
-    samples: int = 2048,
-    seed: int = 20260809,
-) -> frozenset[int]:
-    """Minimal neighborhood of ``a`` by brute force: intersect every basic
-    open containing a, restricted to the carrier.
-
-    For tau_s the miss set ranges over all subsets disjoint from a and the
-    hit family over all subfamilies of opens meeting a; for tau_w the miss
-    set is empty. Exact up to ``ORACLE_EXACT_OPENS`` opens; ``auto``
-    switches to seeded sampling beyond that, ``exact`` raises instead.
+    The subbasic opens of tau_w are the hit sets {B : B meets u} for the
+    opens u (Michael); tau_s adds the miss sets {B : B misses c} for the
+    compact c, here every subset (Fell). Basic opens are finite
+    intersections of these, so the meet of the basic opens around a is
+    the meet of the subbasic ones: hit(u) for every open u meeting a and,
+    for tau_s, miss(c) for every c disjoint from a. Exact on every space;
+    the tau_s side visits all 2^n subsets.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected 'w' or 's'")
-    if mode not in ("auto", "exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
     space = car.space
-    elems = car.elements
     idx = car.index(a)
     hits = [u for u in space.opens if u & a]
-    comp = space.full & ~a
-    exact = len(space.opens) <= ORACLE_EXACT_OPENS
-    if mode == "exact" and not exact:
-        raise BudgetExceeded(
-            f"exact oracle limited to {ORACLE_EXACT_OPENS} opens, space has {len(space.opens)}"
-        )
-
-    result = set(range(len(elems)))
-
-    def restrict(c: int, phi: list[int]) -> None:
-        kept = set()
-        for j in result:
-            b = elems[j]
-            if not b & c and all(b & u for u in phi):
-                kept.add(j)
-        result.intersection_update(kept)
-
-    if exact and mode != "sampled":
-        c_values = list(_submasks(comp)) if flavor == "s" else [0]
-        for c in c_values:
-            for chosen in range(1 << len(hits)):
-                restrict(c, [hits[i] for i in bits(chosen)])
-    else:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            c = rng.getrandbits(space.n) & comp if flavor == "s" else 0
-            chosen = rng.getrandbits(len(hits)) if hits else 0
-            restrict(c, [hits[i] for i in bits(chosen)])
-    if idx not in result:
+    misses = [c for c in range(space.full + 1) if not c & a] if flavor == "s" else []
+    result = mask_of(
+        j
+        for j, b in enumerate(car.elements)
+        if all(b & u for u in hits) and not any(b & c for c in misses)
+    )
+    if not (result >> idx) & 1:
         raise InvariantViolation(
             f"oracle neighborhood of {set_repr(a)} in carrier {car.kind} misses the element itself"
         )
-    return frozenset(result)
+    return result
 
 
-def hyper_closure(top: HyperTopology, s: Iterable[int]) -> frozenset[int]:
-    """Closure of a set of carrier indices: everything whose minimal
+def hyper_closure(top: HyperTopology, s: int) -> int:
+    """Closure of a mask of carrier indices: everything whose minimal
     neighborhood meets the set."""
     cl = 0
-    for j in s:
+    for j in bits(s):
         cl |= top.cols[j]
-    return frozenset(bits(cl))
+    return cl
 
 
-def is_dense(top: HyperTopology, s: Iterable[int]) -> bool:
-    return hyper_closure(top, s) == frozenset(range(len(top)))
+def is_dense(top: HyperTopology, s: int) -> bool:
+    return hyper_closure(top, s) == (1 << len(top)) - 1
 
 
-def is_closed_sub(top: HyperTopology, s: Iterable[int]) -> bool:
-    members = frozenset(s)
-    return hyper_closure(top, members) == members
+def is_closed_sub(top: HyperTopology, s: int) -> bool:
+    return hyper_closure(top, s) == s
 
 
 def identity_continuous_at(
@@ -240,22 +204,22 @@ def is_hausdorff(top: HyperTopology) -> bool:
     return all(not rows[i] & rows[j] for i in range(k) for j in range(i + 1, k))
 
 
-def hyper_component(top: HyperTopology, start: int) -> frozenset[int]:
-    """Component of element ``start`` in the symmetric minimal-neighborhood
-    adjacency graph: the least clopen set containing it."""
+def hyper_component(top: HyperTopology, start: int) -> int:
+    """Mask of the component of element ``start`` in the symmetric
+    minimal-neighborhood adjacency graph: the least clopen set holding it."""
     seen = frontier = 1 << start
     while frontier:
         i = (frontier & -frontier).bit_length() - 1
         new = (top.rows[i] | top.cols[i]) & ~seen
         seen |= new
         frontier = (frontier & (frontier - 1)) | new
-    return frozenset(bits(seen))
+    return seen
 
 
 def is_connected_hyper(top: HyperTopology) -> bool:
     """No proper nonempty clopen subset; equivalently the symmetric
     minimal-neighborhood adjacency graph has one component."""
-    return len(top) <= 1 or len(hyper_component(top, 0)) == len(top)
+    return len(top) <= 1 or hyper_component(top, 0) == (1 << len(top)) - 1
 
 
 def is_compact_cover(top: HyperTopology, s: int, cover: int) -> bool:
@@ -277,75 +241,60 @@ def is_compact_cover(top: HyperTopology, s: int, cover: int) -> bool:
     return not s & ~covered
 
 
-def product_min_nbhd(
-    t1: HyperTopology, t2: HyperTopology, pair: tuple[int, int]
-) -> frozenset[tuple[int, int]]:
-    """Minimal neighborhood of a pair in the product topology: the product
-    of the factor minimal neighborhoods."""
+def product_min_nbhd(t1: HyperTopology, t2: HyperTopology, pair: tuple[int, int]) -> tuple[int, ...]:
+    """Minimal neighborhood of a pair in the product topology, the product
+    of the factor minimal neighborhoods, as a relation: row x is
+    ``t2.rows[j]`` for x in ``t1.rows[i]`` and empty elsewhere."""
     i, j = pair
-    return frozenset((x, y) for x in bits(t1.rows[i]) for y in bits(t2.rows[j]))
+    row = t2.rows[j]
+    return tuple(row if (t1.rows[i] >> x) & 1 else 0 for x in range(len(t1)))
 
 
-def product_closure(
-    t1: HyperTopology, t2: HyperTopology, pairs: Iterable[tuple[int, int]]
-) -> frozenset[tuple[int, int]]:
-    """Pairs (i, j) whose product minimal neighborhood meets ``pairs``: row j
-    must meet the second coordinates paired with some point of row i."""
-    seconds = [0] * len(t1)
-    for x, y in pairs:
-        seconds[x] |= 1 << y
-    out = set()
-    for i, row in enumerate(t1.rows):
+def product_closure(t1: HyperTopology, t2: HyperTopology, rel: tuple[int, ...]) -> tuple[int, ...]:
+    """Closure of a relation in the product: (i, j) is in it when the
+    product minimal neighborhood meets ``rel``, that is when row j of t2
+    meets the second coordinates paired with some point of row i of t1."""
+    out = []
+    for row in t1.rows:
         reach = 0
         for x in bits(row):
-            reach |= seconds[x]
-        out.update((i, j) for j, other in enumerate(t2.rows) if other & reach)
-    return frozenset(out)
+            reach |= rel[x]
+        out.append(hyper_closure(t2, reach))
+    return tuple(out)
 
 
-def product_is_closed(
-    t1: HyperTopology, t2: HyperTopology, pairs: Iterable[tuple[int, int]]
-) -> bool:
-    pset = frozenset(pairs)
-    return product_closure(t1, t2, pset) == pset
+def product_is_closed(t1: HyperTopology, t2: HyperTopology, rel: tuple[int, ...]) -> bool:
+    return product_closure(t1, t2, rel) == tuple(rel)
 
 
-def S_of(m: Iterable[tuple[int, int]], top: HyperTopology) -> frozenset[int]:
-    """Elements whose whole row lies inside the product set m: the slice
-    map {a : {a} x carrier inside m}."""
-    mset = frozenset(m)
-    k = len(top)
-    return frozenset(a for a in range(k) if all((a, b) in mset for b in range(k)))
+def S_of(m: tuple[int, ...], top: HyperTopology) -> int:
+    """Mask of the elements whose whole row lies inside the relation m:
+    the slice map {a : {a} x carrier inside m}."""
+    full = (1 << len(top)) - 1
+    return mask_of(a for a in range(len(top)) if m[a] == full)
 
 
-def inclusion_relation(car: HyperCarrier) -> frozenset[tuple[int, int]]:
-    """Index pairs (i, j) with element i a subset of element j."""
+def inclusion_relation(car: HyperCarrier) -> tuple[int, ...]:
+    """Row i is the mask of the indices j with element i a subset of
+    element j."""
     elems = car.elements
-    return frozenset(
-        (i, j)
-        for i, a in enumerate(elems)
-        for j, b in enumerate(elems)
-        if not a & ~b
-    )
+    return tuple(mask_of(j for j, b in enumerate(elems) if not a & ~b) for a in elems)
 
 
-def seq_limits(top: HyperTopology, seq: EvPerSeq) -> frozenset[int]:
-    """Limits of an eventually periodic sequence of carrier elements: the
-    tail visits only the cycle, so A is a limit exactly when every cycle
-    term sits in the minimal neighborhood of A."""
+def seq_limits(top: HyperTopology, seq: EvPerSeq) -> int:
+    """Mask of the limits of an eventually periodic sequence of carrier
+    elements: the tail visits only the cycle, so A is a limit exactly when
+    every cycle term sits in the minimal neighborhood of A."""
     lim = (1 << len(top)) - 1
     for t in seq.cycle:
         lim &= top.cols[t]
-    return frozenset(bits(lim))
+    return lim
 
 
-def seq_clusters(top: HyperTopology, seq: EvPerSeq) -> frozenset[int]:
-    """Cluster points: some cycle term recurs inside the minimal
-    neighborhood."""
-    clu = 0
-    for t in seq.cycle:
-        clu |= top.cols[t]
-    return frozenset(bits(clu))
+def seq_clusters(top: HyperTopology, seq: EvPerSeq) -> int:
+    """Mask of the cluster points: some cycle term recurs inside the
+    minimal neighborhood."""
+    return hyper_closure(top, mask_of(seq.cycle))
 
 
 def is_primitive(top: HyperTopology, seq: EvPerSeq) -> bool:

@@ -36,6 +36,7 @@ from .finspace import (
 )
 from .hyperspace import (
     EvPerSeq,
+    S_of,
     HyperTopology,
     build_topology,
     conv1_conditions,
@@ -49,7 +50,6 @@ from .hyperspace import (
     is_dense,
     is_separated_in,
     product_closure,
-    product_is_closed,
 )
 from .limitsets import HyperCarrier, carrier as build_carrier, eta, is_limit_set
 
@@ -113,8 +113,8 @@ class CheckEnv:
     def fmt_family(self, masks) -> str:
         return family_repr(masks, self.labels)
 
-    def fmt_indices(self, car: HyperCarrier, indices) -> str:
-        return self.fmt_family(car.elements[i] for i in indices)
+    def fmt_indices(self, car: HyperCarrier, mask: int) -> str:
+        return self.fmt_family(car.elements[i] for i in bits(mask))
 
 
 def check_closure_singleton(space, env):
@@ -123,16 +123,16 @@ def check_closure_singleton(space, env):
     t = env.topology("F", "w")
     elems = t.carrier.elements
     for i, a in enumerate(elems):
-        got = hyper_closure(t, (i,))
-        expected = frozenset(j for j, b in enumerate(elems) if not b & ~a)
+        got = hyper_closure(t, 1 << i)
+        expected = mask_of(j for j, b in enumerate(elems) if not b & ~a)
         if got != expected:
             return CheckResult(
                 "check_closure_singleton",
                 FAIL,
                 witness=(
                     ("element", env.fmt(a)),
-                    ("closure", env.fmt_indices(t.carrier, sorted(got))),
-                    ("expected", env.fmt_indices(t.carrier, sorted(expected))),
+                    ("closure", env.fmt_indices(t.carrier, got)),
+                    ("expected", env.fmt_indices(t.carrier, expected)),
                 ),
             )
     return CheckResult("check_closure_singleton", PASS)
@@ -147,25 +147,25 @@ def check_eta_closure_and_density(space, env):
     fcar = tf.carrier
     lcar = env.carrier("L")
 
-    eta_idx = {fcar.index(eta(space, x)) for x in range(space.n)}
-    l_idx = frozenset(fcar.index(m) for m in lcar.elements)
+    eta_idx = mask_of(fcar.index(eta(space, x)) for x in range(space.n))
+    l_idx = mask_of(fcar.index(m) for m in lcar.elements)
     got = hyper_closure(tf, eta_idx)
     if got != l_idx:
         return CheckResult(
             cid,
             FAIL,
             witness=(
-                ("closure_of_eta_image", env.fmt_indices(fcar, sorted(got))),
-                ("limit_carrier", env.fmt_indices(fcar, sorted(l_idx))),
+                ("closure_of_eta_image", env.fmt_indices(fcar, got)),
+                ("limit_carrier", env.fmt_indices(fcar, l_idx)),
             ),
         )
 
-    fp_idx = [i for i, m in enumerate(fcar.elements) if m]
+    fp_idx = mask_of(i for i, m in enumerate(fcar.elements) if m)
     if not is_dense(tf, fp_idx):
         return CheckResult(cid, FAIL, witness=(("not_dense", "Fprime in (F,tau_w)"),))
 
     tl = env.topology("L", "w")
-    ml_idx = [lcar.index(m) for m in env.carrier("ML").elements]
+    ml_idx = mask_of(lcar.index(m) for m in env.carrier("ML").elements)
     if not is_dense(tl, ml_idx):
         return CheckResult(cid, FAIL, witness=(("not_dense", "ML in (L,tau_w)"),))
 
@@ -220,8 +220,8 @@ def check_cont_iff_maximal(space, env):
                 FAIL,
                 witness=(
                     ("element", env.fmt(m)),
-                    ("tau_w_nbhd", env.fmt_indices(tmw.carrier, bits(tmw.rows[i]))),
-                    ("tau_s_nbhd", env.fmt_indices(tms.carrier, bits(tms.rows[i]))),
+                    ("tau_w_nbhd", env.fmt_indices(tmw.carrier, tmw.rows[i])),
+                    ("tau_s_nbhd", env.fmt_indices(tms.carrier, tms.rows[i])),
                 ),
             )
     return CheckResult(cid, PASS)
@@ -264,7 +264,7 @@ def check_connectedness(space, env):
         return CheckResult(
             cid,
             FAIL,
-            witness=(("clopen_component", env.fmt_indices(tw.carrier, sorted(comp))),),
+            witness=(("clopen_component", env.fmt_indices(tw.carrier, comp)),),
         )
     notes = ""
     if not is_connected_hyper(env.topology("L", "s")):
@@ -291,7 +291,7 @@ def check_compactness_lemma(space, env, families=None):
             return CheckResult(
                 cid,
                 FAIL,
-                witness=(("family", env.fmt_family(fam)), ("uncovered", env.fmt_indices(t.carrier, bits(s)))),
+                witness=(("family", env.fmt_family(fam)), ("uncovered", env.fmt_indices(t.carrier, s))),
             )
     return CheckResult(
         cid, TRIVIALLY_TRUE, notes=f"finite subcover found for {len(families)} hit families"
@@ -306,31 +306,14 @@ def check_local_compactness(space, env):
     witnessed = 0
     for kind in ("F", "Fprime", "L", "Lprime"):
         t = env.topology(kind, "w")
-        meeting = {u: t.carrier.meeting(u) for u in space.opens}
-        for i, a in enumerate(t.carrier.elements):
-            inner = outer = (1 << len(t)) - 1
-            for u, meeting_u in meeting.items():
-                if not u & a:
-                    continue
-                x = ((a & u) & -(a & u)).bit_length() - 1
-                v = space.rows[x]
-                if v & ~u:
-                    return CheckResult(
-                        cid, FAIL, witness=(("inner_nbhd_escapes", env.fmt(v)), ("open", env.fmt(u)))
-                    )
-                inner &= meeting[v]
-                outer &= meeting_u
-            if not (inner >> i) & 1 or inner & ~outer:
-                return CheckResult(
-                    cid,
-                    FAIL,
-                    witness=(
-                        ("carrier", kind),
-                        ("element", env.fmt(a)),
-                        ("inner", env.fmt_indices(t.carrier, bits(inner))),
-                        ("outer", env.fmt_indices(t.carrier, bits(outer))),
-                    ),
-                )
+        near = [t.carrier.meeting(row) for row in space.rows]
+        for a in t.carrier.elements:
+            # the basic neighborhood hit(min_nbhd(x) : x in a): it holds a and
+            # lies in hit(u) for each open u meeting a, as min_nbhd(x) <= u
+            # for x in a & u
+            inner = (1 << len(t)) - 1
+            for x in bits(a):
+                inner &= near[x]
             if not is_compact_cover(t, inner, inner):
                 return CheckResult(
                     cid,
@@ -377,13 +360,13 @@ def check_baire(space, env):
                 cid, FAIL, witness=(("carrier", kind), ("not_a_topology_at", env.fmt(t.carrier.elements[a])))
             )
         inter = _meet_of_dense_opens(t)
-        if not is_dense(t, bits(inter)):
+        if not is_dense(t, inter):
             return CheckResult(
                 cid,
                 FAIL,
                 witness=(
                     ("carrier", kind),
-                    ("intersection_of_dense_opens", env.fmt_indices(t.carrier, bits(inter))),
+                    ("intersection_of_dense_opens", env.fmt_indices(t.carrier, inter)),
                 ),
             )
         sizes.append(f"{kind}={len(t)}")
@@ -429,23 +412,23 @@ def check_product_structure(space, env):
     lcar = env.carrier("L")
     ts = env.topology("L", "s")
     e = inclusion_relation(lcar)
-    if not product_is_closed(ts, ts, e):
-        extra = sorted(product_closure(ts, ts, e) - e)[0]
-        return CheckResult(
-            cid,
-            FAIL,
-            witness=(
-                ("pair_in_closure_only",
-                 env.fmt(lcar.elements[extra[0]]) + "," + env.fmt(lcar.elements[extra[1]])),
-            ),
-        )
+    for i, (row, e_row) in enumerate(zip(product_closure(ts, ts, e), e)):
+        extra = row & ~e_row
+        if extra:
+            j = (extra & -extra).bit_length() - 1
+            return CheckResult(
+                cid,
+                FAIL,
+                witness=(
+                    ("pair_in_closure_only", env.fmt(lcar.elements[i]) + "," + env.fmt(lcar.elements[j])),
+                ),
+            )
 
     nb = ts.rows
     k = len(nb)
     a = _not_a_topology_at(ts)
     if a is not None:
         return CheckResult(cid, FAIL, witness=(("not_a_topology_at", env.fmt(lcar.elements[a])),))
-    full = (1 << k) - 1
     for a in range(k):
         # the product minimal neighborhood of (a, b) is nb[a] x nb[b]; the
         # hull of row a is their union over b, one mask of second
@@ -454,13 +437,13 @@ def check_product_structure(space, env):
         for b in range(k):
             for x in bits(nb[a]):
                 hull[x] |= nb[b]
-        s_mask = mask_of(x for x in range(k) if hull[x] == full)
+        s_mask = S_of(tuple(hull), ts)
         if nb[a] & ~s_mask:
             return CheckResult(
                 cid,
                 FAIL,
                 witness=(
-                    ("slice", env.fmt_indices(lcar, bits(s_mask))),
+                    ("slice", env.fmt_indices(lcar, s_mask)),
                     ("not_open_at", env.fmt(lcar.elements[a])),
                 ),
             )
@@ -485,7 +468,7 @@ def check_separated_points_corollary(space, env):
             ),
         )
     tml = env.topology("ML", "w")
-    fam_ml_idx = {tml.carrier.index(m) for m in fam}
+    fam_ml_idx = mask_of(tml.carrier.index(m) for m in fam)
     if not is_dense(tml, fam_ml_idx):
         return CheckResult(cid, FAIL, witness=(("not_dense_in_ML", env.fmt_family(fam)),))
     lcar = env.carrier("L")
@@ -666,18 +649,13 @@ def run_check(check_id: str, space: FinTopSpace, env: CheckEnv | None = None, **
         )
 
 
-def verify_all(space: FinTopSpace, labels=None, conv_pre=1, conv_cycle=2) -> VerificationReport:
+def verify_all(space: FinTopSpace, labels=None) -> VerificationReport:
     """Run every registered check once and collect the results."""
     if space.n < 1:
         raise ValueError("verification needs at least one point")
     env = CheckEnv(space, labels)
     t0 = time.perf_counter()
-    results = []
-    for check_id in CHECKS:
-        kwargs = {}
-        if check_id == "check_conv_props":
-            kwargs = {"max_pre": conv_pre, "max_cycle": conv_cycle}
-        results.append(run_check(check_id, space, env, **kwargs))
+    results = [run_check(check_id, space, env) for check_id in CHECKS]
     return VerificationReport(
         digest(space), space.n, env.labels, tuple(results), time.perf_counter() - t0
     )

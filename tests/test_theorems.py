@@ -8,9 +8,11 @@ import pytest
 from limhyper import (
     BudgetExceeded,
     EvPerSeq,
+    NotOpen,
     carrier,
     conv1_conditions,
     enumerate_topologies,
+    is_compact_cover,
     mine_check_failures,
     parse_space,
     run_check,
@@ -176,10 +178,8 @@ def test_mined_witness_self_validates(sierpinski):
     t = env.topology("F", "w")
     elem = parse_point_set(witness["element"], hit.labels)
     i = t.carrier.index(elem)
-    got = hyper_closure(t, (i,))
-    expected = frozenset(
-        j for j, b in enumerate(t.carrier.elements) if not b & ~elem
-    )
+    got = hyper_closure(t, 1 << i)
+    expected = mask_of(j for j, b in enumerate(t.carrier.elements) if not b & ~elem)
     assert got != expected
 
 
@@ -304,6 +304,74 @@ def test_exact_baire_matches_dense_open_enumeration():
                         assert [key for key, _ in result.witness] == ["carrier", "not_a_topology_at"]
                         rejected += 1
     assert exact > 10000 and rejected > 0
+
+
+def per_open_local_compactness(space, env):
+    """``check_local_compactness`` as it was before it took the inner
+    neighborhood as an AND over the points of the element: inner and outer
+    are ANDs over every open u meeting the element a, of the elements
+    meeting min_nbhd(x), x the lowest point of a & u, and of the elements
+    meeting u. Its three failure branches that hold by construction are
+    assertions here: min_nbhd(x) lies inside u, inner holds a, and inner
+    lies inside outer; so is the equality of inner with the AND over all
+    points x of a that the check takes."""
+    cid = "check_local_compactness"
+    witnessed = 0
+    for kind in ("F", "Fprime", "L", "Lprime"):
+        t = env.topology(kind, "w")
+        meeting = {u: t.carrier.meeting(u) for u in space.opens}
+        for i, a in enumerate(t.carrier.elements):
+            inner = outer = (1 << len(t)) - 1
+            for u, meeting_u in meeting.items():
+                if not u & a:
+                    continue
+                x = ((a & u) & -(a & u)).bit_length() - 1
+                v = space.rows[x]
+                assert not v & ~u
+                inner &= meeting[v]
+                outer &= meeting_u
+            assert (inner >> i) & 1 and not inner & ~outer
+            per_point = (1 << len(t)) - 1
+            for x in bits(a):
+                per_point &= t.carrier.meeting(space.rows[x])
+            assert inner == per_point
+            if not is_compact_cover(t, inner, inner):
+                return CheckResult(cid, FAIL, witness=(("carrier", kind), ("element", env.fmt(a))))
+            witnessed += 1
+    return CheckResult(
+        cid, TRIVIALLY_TRUE, notes=f"sandwich neighborhoods constructed for {witnessed} carrier elements"
+    )
+
+
+def test_local_compactness_matches_per_open_construction():
+    # the honest and every corrupted environment of each space on at most
+    # four points and of the benchmark documents; environments whose four
+    # tau_w tables coincide are run once
+    spaces = [space for n in range(5) for space in enumerate_topologies(n)]
+    for name in ("discrete7", "discrete8", "chain16", "bipartite10"):
+        spaces.append(parse_space((BENCH_DOCS / f"{name}.json").read_text()).space)
+    seen = set()
+    statuses = []
+    for space in spaces:
+        for env in [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]:
+            tables = [env.topology(kind, "w") for kind in ("F", "Fprime", "L", "Lprime")]
+            key = (space, tuple((t.carrier.elements, t.rows) for t in tables))
+            if key in seen:
+                continue
+            seen.add(key)
+            got = run_check("check_local_compactness", space, env)
+            try:
+                want = per_open_local_compactness(space, env)
+            except NotOpen as exc:
+                want = CheckResult(
+                    "check_local_compactness",
+                    FAIL,
+                    witness=(("structural_error", str(exc)),),
+                    notes="carrier or neighborhood structure inconsistent",
+                )
+            assert got == want
+            statuses.append(got.status)
+    assert len(seen) > 1000 and set(statuses) == {TRIVIALLY_TRUE, FAIL}
 
 
 # ------------------------------ the per-cycle loops, kept as references
