@@ -2,7 +2,8 @@
 
 A set L is a limit set when every finite family of opens that all meet L
 has a common point. On a finite space the family of all opens meeting L
-is itself such a family, so the criterion collapses to one intersection;
+is itself such a family, so the criterion collapses to one intersection,
+the AND of the minimal neighborhoods of L's points;
 ``is_limit_set_oracle`` keeps the literal quantification over subfamilies
 as an independent cross-check.
 """
@@ -64,10 +65,11 @@ class HyperCarrier:
 
 
 def _meet_of_meeting_opens(space: FinTopSpace, l: int) -> int:
+    # the minimal neighborhood of each point of l is an open meeting l, and
+    # every open meeting l at x contains it, so their AND is the meet
     meet = space.full
-    for u in space.opens:
-        if u & l:
-            meet &= u
+    for x in bits(l):
+        meet &= space.rows[x]
     return meet
 
 

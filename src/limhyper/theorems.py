@@ -25,7 +25,6 @@ from .finspace import (
     FinTopSpace,
     bits,
     canonical_key,
-    closed_sets,
     digest,
     enumerate_topologies,
     family_repr,
@@ -35,6 +34,7 @@ from .finspace import (
     set_repr,
 )
 from .hyperspace import (
+    FLAVORS,
     EvPerSeq,
     S_of,
     HyperTopology,
@@ -51,7 +51,7 @@ from .hyperspace import (
     is_separated_in,
     product_closure,
 )
-from .limitsets import HyperCarrier, carrier as build_carrier, eta, is_limit_set
+from .limitsets import CARRIER_KINDS, HyperCarrier, carrier as build_carrier, eta, is_limit_set
 
 PASS = "pass"
 FAIL = "fail"
@@ -85,8 +85,9 @@ def default_labels(n: int) -> tuple[str, ...]:
 class CheckEnv:
     """The carriers and hyperspace topologies that one space's checks share.
 
-    Mining hands in corrupted carriers or raw neighborhood tables through
-    the ``carriers`` / ``topologies`` overrides; every check then runs its
+    Mining hands in the space's shared honest carriers and tables together
+    with a corrupted carrier or raw neighborhood table through the
+    ``carriers`` / ``topologies`` overrides; every check then runs its
     ordinary logic against the broken structures.
     """
 
@@ -690,9 +691,10 @@ def sweep(n: int, long_run: bool = False, jobs: int | None = None) -> SweepResul
         jobs = int(os.environ.get("LH_JOBS", "1"))
     spaces = list(enumerate_topologies(n))
     t0 = time.perf_counter()
-    if jobs > 1:
-        chunk = max(1, len(spaces) // (jobs * 8))
-        with Pool(jobs) as pool:
+    workers = min(jobs, len(spaces))
+    if workers > 1:
+        chunk = max(1, len(spaces) // (workers * 8))
+        with Pool(workers) as pool:
             rows = pool.map(_sweep_worker, spaces, chunksize=chunk)
     else:
         rows = [_sweep_worker(s) for s in spaces]
@@ -722,8 +724,7 @@ def _canon_carrier(space, kind, masks) -> HyperCarrier:
     return HyperCarrier(space, kind, tuple(sorted(masks, key=canonical_key)))
 
 
-def _cyclic_topology(space, kind, flavor) -> HyperTopology | None:
-    car = build_carrier(space, kind)
+def _cyclic_topology(car: HyperCarrier, flavor) -> HyperTopology | None:
     k = len(car.elements)
     if k < 3:
         return None
@@ -733,65 +734,69 @@ def _cyclic_topology(space, kind, flavor) -> HyperTopology | None:
 
 def corrupted_environments(space: FinTopSpace):
     """Yield (description, env_factory) pairs with deliberately broken
-    carriers or neighborhood tables, for expect-fail exploration."""
-    closed = set(closed_sets(space))
+    carriers or neighborhood tables, for expect-fail exploration.
+
+    The space's five honest carriers and ten honest tables are built once
+    and shared by every environment: a corrupted carrier drops its two
+    tables, which the environment rebuilds on it, and a corrupted table
+    replaces that table only."""
+    carriers = {kind: build_carrier(space, kind) for kind in CARRIER_KINDS}
+    tables = {(kind, flavor): build_topology(car, flavor) for kind, car in carriers.items() for flavor in FLAVORS}
+
+    def with_carrier(car):
+        others = {key: t for key, t in tables.items() if key[0] != car.kind}
+        return lambda: CheckEnv(space, carriers={**carriers, car.kind: car}, topologies=others)
+
+    def with_table(t):
+        return lambda: CheckEnv(space, carriers=carriers, topologies={**tables, (t.carrier.kind, t.flavor): t})
+
+    closed = set(carriers["F"].elements)
     all_subsets = sorted(range(space.full + 1), key=canonical_key)
 
     non_closed = next((m for m in all_subsets if m not in closed), None)
     if non_closed is not None:
-        f_plus = _canon_carrier(space, "F", closed | {non_closed})
-        yield ("non-closed set injected into F", lambda c=f_plus: CheckEnv(space, carriers={"F": c}))
+        yield ("non-closed set injected into F", with_carrier(_canon_carrier(space, "F", closed | {non_closed})))
 
-    lcar = build_carrier(space, "L")
-    lset = set(lcar.elements)
+    lset = set(carriers["L"].elements)
+    # set order, not canonical order: the mined witnesses depend on which
+    # mask this picks
     non_limit = next((m for m in closed if m not in lset), None)
     if non_limit is not None:
-        l_plus = _canon_carrier(space, "L", lset | {non_limit})
-        yield ("non-limit closed set injected into L", lambda c=l_plus: CheckEnv(space, carriers={"L": c}))
+        yield ("non-limit closed set injected into L", with_carrier(_canon_carrier(space, "L", lset | {non_limit})))
 
     if non_closed is not None and is_limit_set(space, non_closed):
-        l_open = _canon_carrier(space, "L", lset | {non_closed})
-        yield ("non-closed set injected into L", lambda c=l_open: CheckEnv(space, carriers={"L": c}))
+        yield ("non-closed set injected into L", with_carrier(_canon_carrier(space, "L", lset | {non_closed})))
 
-    mlcar = build_carrier(space, "ML")
-    mlset = set(mlcar.elements)
-    non_maximal = next((m for m in lcar.elements if m not in mlset), None)
+    mlset = set(carriers["ML"].elements)
+    non_maximal = next((m for m in carriers["L"].elements if m not in mlset), None)
     if non_maximal is not None:
-        ml_plus = _canon_carrier(space, "ML", mlset | {non_maximal})
         yield (
             "non-maximal limit set injected into ML",
-            lambda c=ml_plus: CheckEnv(space, carriers={"ML": c}),
+            with_carrier(_canon_carrier(space, "ML", mlset | {non_maximal})),
         )
 
     if mlset:
-        dropped = sorted(mlset, key=canonical_key)[-1]
-        ml_minus = _canon_carrier(space, "ML", mlset - {dropped})
-        yield ("maximal limit set removed from ML", lambda c=ml_minus: CheckEnv(space, carriers={"ML": c}))
+        dropped = carriers["ML"].elements[-1]
+        yield ("maximal limit set removed from ML", with_carrier(_canon_carrier(space, "ML", mlset - {dropped})))
 
     if len(mlset) >= 2:
-        l_as_ml = _canon_carrier(space, "L", mlset)
-        yield ("L restricted to its maximal elements", lambda c=l_as_ml: CheckEnv(space, carriers={"L": c}))
+        yield ("L restricted to its maximal elements", with_carrier(_canon_carrier(space, "L", mlset)))
 
     for kind in ("F", "L"):
-        cyc = _cyclic_topology(space, kind, "w")
+        cyc = _cyclic_topology(carriers[kind], "w")
         if cyc is not None:
-            yield (
-                f"cyclic neighborhood table on ({kind},tau_w)",
-                lambda k=kind, t=cyc: CheckEnv(space, topologies={(k, "w"): t}),
-            )
+            yield (f"cyclic neighborhood table on ({kind},tau_w)", with_table(cyc))
 
-    swapped = build_topology(build_carrier(space, "F"), "s")
-    swapped = HyperTopology(swapped.carrier, "w", swapped.rows)
+    swapped = tables["F", "s"]
     yield (
         "Fell table served as the lower topology on F",
-        lambda t=swapped: CheckEnv(space, topologies={("F", "w"): t}),
+        with_table(HyperTopology(swapped.carrier, "w", swapped.rows)),
     )
 
-    widened = build_topology(build_carrier(space, "L"), "w")
-    widened = HyperTopology(widened.carrier, "s", widened.rows)
+    widened = tables["L", "w"]
     yield (
         "lower table served as the Fell topology on L",
-        lambda t=widened: CheckEnv(space, topologies={("L", "s"): t}),
+        with_table(HyperTopology(widened.carrier, "s", widened.rows)),
     )
 
 

@@ -280,7 +280,7 @@ def test_compact_cover(sierpinski):
     assert not is_compact_cover(tw, everything, 1 << f.index(0b11))
     assert is_compact_cover(tw, everything, 1 << f.index(0))  # the row of {} is the carrier
     # an honest table has no row that is not open; the cyclic one does
-    cyc = _cyclic_topology(sierpinski, "F", "w")  # rows {0,1} {1,2} {0,2}
+    cyc = _cyclic_topology(carrier(sierpinski, "F"), "w")  # rows {0,1} {1,2} {0,2}
     assert cyc.open_rows == 0
     with pytest.raises(NotOpen, match=r"cover member \[1, 2\] is not open"):
         is_compact_cover(cyc, everything, 1 << 2 | 1 << 1)
@@ -451,7 +451,7 @@ def test_exact_product_check_matches_enumeration():
     tables = {}
     for space in spaces_upto(3, start=1):
         envs = [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]
-        cyclic = _cyclic_topology(space, "L", "s")
+        cyclic = _cyclic_topology(carrier(space, "L"), "s")
         if cyclic is not None:
             envs.append(CheckEnv(space, topologies={("L", "s"): cyclic}))
         ml = HyperCarrier(space, "L", carrier(space, "ML").elements)

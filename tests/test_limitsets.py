@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,12 @@ from limhyper import (
     is_limit_set_oracle,
     limit_witness,
     min_nbhd,
+    parse_space,
     validate_topology,
 )
 from limhyper.finspace import bits
+
+BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
 
 
 def spaces_upto(n_max):
@@ -45,9 +49,33 @@ def test_oracle_budget():
 
 
 def test_fast_equals_oracle_exhaustive():
-    for space in spaces_upto(3):
+    for space in spaces_upto(4):
         for l in range(space.full + 1):
-            assert is_limit_set(space, l) == is_limit_set_oracle(space, l)
+            limit = is_limit_set_oracle(space, l)
+            assert is_limit_set(space, l) == limit
+            assert (limit_witness(space, l) is not None) == limit
+
+
+def meet_of_meeting_opens_scan(space, l):
+    """The meet of every open meeting l, by a scan over all opens: the
+    form ``is_limit_set`` and ``limit_witness`` took before they ANDed the
+    minimal neighborhoods of l's points; kept as their reference."""
+    meet = space.full
+    for u in space.opens:
+        if u & l:
+            meet &= u
+    return meet
+
+
+def test_fast_equals_opens_scan_on_benchmark_documents():
+    # every subset of each document; the oracle's subfamily search is out of
+    # reach on these, the scan over all opens is not
+    for name in ("discrete7", "discrete8", "chain16", "bipartite10"):
+        space = parse_space((BENCH_DOCS / f"{name}.json").read_text()).space
+        for l in range(space.full + 1):
+            meet = meet_of_meeting_opens_scan(space, l)
+            assert is_limit_set(space, l) == (meet != 0)
+            assert limit_witness(space, l) == (next(bits(meet)) if meet else None)
 
 
 def test_fast_equals_oracle_sampled_n4():

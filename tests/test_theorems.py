@@ -20,7 +20,10 @@ from limhyper import (
     validate_topology,
     verify_all,
 )
+from limhyper import theorems
 from limhyper.finspace import bits, canonical_key, mask_of
+from limhyper.hyperspace import FLAVORS, build_topology
+from limhyper.limitsets import CARRIER_KINDS
 from limhyper.spaceio import parse_point_set
 from limhyper.theorems import (
     CHECKS,
@@ -140,6 +143,36 @@ def test_sweep_jobs_do_not_change_results():
     )
 
 
+def test_sweep_starts_no_more_workers_than_spaces(monkeypatch):
+    # an in-process stand-in for the pool records the worker count sweep
+    # asks for; no process is started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, workers):
+            sizes.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(item) for item in items]
+
+    def outcome(result):
+        return result.space_count, result.failure_count, result.first_failures
+
+    monkeypatch.setattr(theorems, "Pool", RecordingPool)
+    serial = sweep(2, jobs=1)
+    assert sizes == []
+    assert outcome(sweep(2, jobs=8)) == outcome(serial) == (4, 0, ())
+    assert sizes == [4]
+    assert outcome(sweep(1, jobs=8)) == (1, 0, ()) and sizes == [4]
+    assert outcome(sweep(3, jobs=2)) == (29, 0, ()) and sizes == [4, 2]
+
+
 def test_sweep_guards():
     with pytest.raises(ValueError):
         sweep(0)
@@ -191,6 +224,57 @@ def test_mining_covers_gdelta_flip(sierpinski_plus_isolated):
         check_ids=("check_gdelta_ML", "check_cont_iff_maximal"),
     )
     assert found
+
+
+# what each corruption replaces: a carrier kind, or a (kind, flavor) table
+CORRUPTED = {
+    "non-closed set injected into F": "F",
+    "non-limit closed set injected into L": "L",
+    "non-closed set injected into L": "L",
+    "non-maximal limit set injected into ML": "ML",
+    "maximal limit set removed from ML": "ML",
+    "L restricted to its maximal elements": "L",
+    "cyclic neighborhood table on (F,tau_w)": ("F", "w"),
+    "cyclic neighborhood table on (L,tau_w)": ("L", "w"),
+    "Fell table served as the lower topology on F": ("F", "w"),
+    "lower table served as the Fell topology on L": ("L", "s"),
+}
+
+
+def test_shared_honest_structures_stay_in_their_environments():
+    # the environments of one space share its honest carriers and tables;
+    # each sees the honest ones exactly where it replaces nothing, a
+    # replaced carrier brings tables built on it, and no check run on any
+    # environment changes what the others share
+    spaces = [space for n in range(5) for space in enumerate_topologies(n)]
+    for name in ("discrete7", "discrete8", "chain16", "bipartite10"):
+        spaces.append(parse_space((BENCH_DOCS / f"{name}.json").read_text()).space)
+    for space in spaces:
+        honest = {kind: carrier(space, kind) for kind in CARRIER_KINDS}
+        envs = []
+        shared = {}
+        for description, factory in corrupted_environments(space):
+            env = factory()
+            replaced = CORRUPTED[description]
+            for kind in CARRIER_KINDS:
+                assert (env.carrier(kind) == honest[kind]) == (kind != replaced), (description, kind)
+                for flavor in FLAVORS:
+                    if (kind, flavor) == replaced:
+                        continue
+                    t = env.topology(kind, flavor)
+                    assert t.carrier == env.carrier(kind) and t.flavor == flavor
+                    assert t.rows == build_topology(env.carrier(kind), flavor).rows, (description, kind, flavor)
+                    if kind != replaced:
+                        assert shared.setdefault((kind, flavor), t) is t, (description, kind, flavor)
+            envs.append(env)
+        assert len(shared) == 10
+        for env in envs:
+            for cid in CHECKS:
+                run_check(cid, space, env)
+        for (kind, flavor), t in shared.items():
+            fresh = build_topology(carrier(space, kind), flavor)
+            assert t.carrier == fresh.carrier and t.carrier.holding == fresh.carrier.holding
+            assert (t.rows, t.cols, t.open_rows) == (fresh.rows, fresh.cols, fresh.open_rows)
 
 
 def test_report_invariant_every_check_once():
