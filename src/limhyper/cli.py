@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .errors import AxiomViolation, BudgetExceeded, LimHyperError, ParseError
-from .finspace import bits, digest, family_repr, separated_points, set_repr
+from .finspace import bits, digest, separated_points, set_repr
 from .hyperspace import EvPerSeq, build_topology, is_separated_in, seq_limits
 from .limitsets import CARRIER_KINDS, carrier
 from .spaceio import LabeledSpace, emit_report, parse_point_set, parse_space
@@ -48,13 +48,15 @@ def _cmd_report(args) -> int:
     print("opens: " + " ".join(set_repr(u, labels) for u in space.opens))
     print("separated points: " + set_repr(separated_points(space), labels))
     print(f"carrier: {args.carrier}  topology: tau_{flavor}  elements: {len(car.elements)}")
+    # each element is formatted once; carrier indices run in canonical
+    # order, so joining names by index prints what family_repr would
+    names = [set_repr(m, labels) for m in car.elements]
     for i, m in enumerate(car.elements):
-        name = set_repr(m, labels)
-        nbhd = family_repr((car.elements[j] for j in bits(top.rows[i])), labels)
-        clo = family_repr((car.elements[j] for j in bits(top.cols[i])), labels)
+        nbhd = " ".join(names[j] for j in bits(top.rows[i]))
+        clo = " ".join(names[j] for j in bits(top.cols[i]))
         is_ml = "yes" if m in ml else "no"
         sep = "yes" if is_separated_in(top, i) else "no"
-        print(f"{name}: min_nbhd={nbhd} closure={clo} ml={is_ml} separated={sep}")
+        print(f"{names[i]}: min_nbhd=[{nbhd}] closure=[{clo}] ml={is_ml} separated={sep}")
     return 0
 
 

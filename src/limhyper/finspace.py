@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import AxiomViolation, BudgetExceeded, GroundMismatch
+from .errors import AxiomViolation, BudgetExceeded, GroundMismatch, InvariantViolation
 
 MAX_POINTS = 16
 MAX_ENUM_POINTS = 5
@@ -88,7 +88,10 @@ def validate_topology(n: int, opens: Iterable[int]) -> FinTopSpace:
 
     The family must contain the empty set and the ground set and be closed
     under pairwise union and pairwise intersection; pairwise closure
-    suffices because the family is finite.
+    suffices because the family is finite. Equivalently, it must equal the
+    set of unions of its minimal-neighborhood rows, which is decided in
+    O(n * |opens|); only a family that fails this is searched pair by pair
+    for the violation to report.
     """
     if n < 0 or n > MAX_POINTS:
         raise GroundMismatch(f"point count {n} outside 0..{MAX_POINTS}")
@@ -99,6 +102,9 @@ def validate_topology(n: int, opens: Iterable[int]) -> FinTopSpace:
             raise GroundMismatch(f"open set {m} not within the {n}-point ground set")
         fam.add(m)
     ordered = sorted(fam, key=canonical_key)
+    space = FinTopSpace(n, tuple(ordered))
+    if _space_from_rows(n, space.rows).opens == space.opens:
+        return space
     for i, a in enumerate(ordered):
         for b in ordered[i + 1:]:
             if a | b not in fam:
@@ -115,7 +121,7 @@ def validate_topology(n: int, opens: Iterable[int]) -> FinTopSpace:
         raise AxiomViolation("empty set missing from the open family")
     if full not in fam:
         raise AxiomViolation("ground set missing from the open family")
-    return FinTopSpace(n, tuple(ordered))
+    raise InvariantViolation("family differs from the unions of its rows yet passes every axiom")
 
 
 def _check_subset(space: FinTopSpace, s: int) -> None:

@@ -758,9 +758,7 @@ def corrupted_environments(space: FinTopSpace):
         yield ("non-closed set injected into F", with_carrier(_canon_carrier(space, "F", closed | {non_closed})))
 
     lset = set(carriers["L"].elements)
-    # set order, not canonical order: the mined witnesses depend on which
-    # mask this picks
-    non_limit = next((m for m in closed if m not in lset), None)
+    non_limit = next((m for m in carriers["F"].elements if m not in lset), None)
     if non_limit is not None:
         yield ("non-limit closed set injected into L", with_carrier(_canon_carrier(space, "L", lset | {non_limit})))
 

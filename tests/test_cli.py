@@ -1,10 +1,17 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from limhyper import build_topology, carrier, is_separated_in, parse_space
 from limhyper.cli import run
+from limhyper.finspace import bits, digest, family_repr, separated_points, set_repr
+from limhyper.hyperspace import FLAVORS
+from limhyper.limitsets import CARRIER_KINDS
+
+BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
 
 SIERPINSKI = '{"points": ["a", "b"], "opens": [[], ["a"], ["a", "b"]]}'
 THREE_POINT = (
@@ -83,6 +90,42 @@ def test_report_is_deterministic(three_point_file, capsys):
     first = capsys.readouterr().out
     run(["report", three_point_file, "--carrier", "L"])
     assert capsys.readouterr().out == first
+
+
+def reference_report(path, kind, flavor):
+    """The report as each line was once built: every neighborhood and
+    closure re-formatted and re-sorted through family_repr."""
+    doc = parse_space(Path(path).read_text())
+    space, labels = doc.space, doc.labels
+    car = carrier(space, kind)
+    top = build_topology(car, flavor)
+    ml = set(carrier(space, "ML").elements)
+    lines = [
+        f"space: n={space.n} digest={digest(space)}",
+        "points: " + set_repr(space.full, labels),
+        "opens: " + " ".join(set_repr(u, labels) for u in space.opens),
+        "separated points: " + set_repr(separated_points(space), labels),
+        f"carrier: {kind}  topology: tau_{flavor}  elements: {len(car.elements)}",
+    ]
+    for i, m in enumerate(car.elements):
+        nbhd = family_repr((car.elements[j] for j in bits(top.rows[i])), labels)
+        clo = family_repr((car.elements[j] for j in bits(top.cols[i])), labels)
+        is_ml = "yes" if m in ml else "no"
+        sep = "yes" if is_separated_in(top, i) else "no"
+        lines.append(f"{set_repr(m, labels)}: min_nbhd={nbhd} closure={clo} ml={is_ml} separated={sep}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["discrete7", "discrete8", "chain16", "bipartite10"])
+def test_report_matches_reference_formatter_on_benchmark_documents(name, capsys):
+    path = str(BENCH_DOCS / f"{name}.json")
+    for kind in CARRIER_KINDS:
+        for flavor in FLAVORS:
+            assert run(["report", path, "--carrier", kind, "--topology", flavor]) == 0
+            got, want = capsys.readouterr().out, reference_report(path, kind, flavor)
+            # a bare bool keeps pytest from diffing hundreds of long lines
+            same = got == want
+            assert same, (kind, flavor, next((p for p in zip(got.splitlines(), want.splitlines()) if p[0] != p[1]), None))
 
 
 def test_sweep_three(capsys):

@@ -28,6 +28,7 @@ from limhyper.finspace import (
     canonical_key,
     digest,
     full_mask,
+    set_repr,
 )
 
 BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
@@ -125,6 +126,74 @@ def test_validate_missing_empty_and_full():
 def test_validate_dedupes_and_canonicalizes():
     sp = validate_topology(2, [3, 0, 1, 1, 0])
     assert sp.opens == (0, 1, 3)
+
+
+def pairwise_validate_topology(n, opens):
+    """Validation by testing every pair of opens for its union and
+    intersection, then the empty and ground sets; O(|opens|^2)."""
+    full = full_mask(n)
+    fam = set()
+    for m in opens:
+        if m < 0 or m & ~full:
+            raise GroundMismatch(f"open set {m} not within the {n}-point ground set")
+        fam.add(m)
+    ordered = sorted(fam, key=canonical_key)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
+            if a | b not in fam:
+                raise AxiomViolation(
+                    f"union of opens {set_repr(a)} and {set_repr(b)} missing",
+                    witness=(a, b),
+                )
+            if a & b not in fam:
+                raise AxiomViolation(
+                    f"intersection of opens {set_repr(a)} and {set_repr(b)} missing",
+                    witness=(a, b),
+                )
+    if 0 not in fam:
+        raise AxiomViolation("empty set missing from the open family")
+    if full not in fam:
+        raise AxiomViolation("ground set missing from the open family")
+    return FinTopSpace(n, tuple(ordered))
+
+
+def validation_outcome(validate, n, opens):
+    try:
+        return validate(n, opens)
+    except AxiomViolation as exc:
+        return type(exc), str(exc), exc.witness
+
+
+def test_validate_matches_pairwise_on_every_small_family():
+    # every family of subsets of a ground set of at most three points
+    for n in range(4):
+        subsets = range(1 << n)
+        for pick in range(1 << len(subsets)):
+            fam = [m for m in subsets if (pick >> m) & 1]
+            got = validation_outcome(validate_topology, n, fam)
+            assert got == validation_outcome(pairwise_validate_topology, n, fam), (n, fam)
+
+
+def test_validate_matches_pairwise_on_four_point_topologies_and_their_punctures():
+    families = []
+    for space in enumerate_topologies(4):
+        families.append(space.opens)
+        families += [tuple(v for v in space.opens if v != u) for u in space.opens if u not in (0, space.full)]
+    assert len(families) > 355
+    for fam in families:
+        assert validation_outcome(validate_topology, 4, fam) == validation_outcome(pairwise_validate_topology, 4, fam)
+
+
+def test_validate_sixteen_singletons_reports_the_pairwise_witness():
+    fam = [0, full_mask(16)] + [1 << x for x in range(16)]
+    got = validation_outcome(validate_topology, 16, fam)
+    assert got == validation_outcome(pairwise_validate_topology, 16, fam)
+    assert got == (AxiomViolation, "union of opens {0} and {1} missing", (1, 2))
+
+
+def test_validate_discrete_sixteen_points():
+    space = validate_topology(16, range(1 << 16))
+    assert space.opens == tuple(sorted(range(1 << 16), key=canonical_key))
 
 
 # ---------------------------------------------------------------- closure

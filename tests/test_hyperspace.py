@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,7 @@ from limhyper import (
     is_primitive,
     is_separated_in,
     min_nbhd_oracle,
+    parse_space,
     product_closure,
     product_is_closed,
     product_min_nbhd,
@@ -38,8 +40,12 @@ from limhyper import (
     validate_topology,
 )
 from limhyper.finspace import bits, mask_of
+from limhyper.hyperspace import FLAVORS
 from limhyper.limitsets import CARRIER_KINDS
 from limhyper.theorems import FAIL, CheckEnv, _cyclic_topology, corrupted_environments, run_check
+
+
+BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
 
 
 def spaces_upto(n_max, start=0):
@@ -240,6 +246,39 @@ def test_is_separated_in_examples(sierpinski, three_point):
 
     ts = build_topology(l, "s")
     assert all(is_separated_in(ts, i) for i in range(len(l.elements)))
+
+
+def pairwise_separated_in(top, i):
+    """Separation straight from the definition: row i is disjoint from the
+    row of every element outside the closure of i, one element at a time."""
+    rows = top.rows
+    outside = ((1 << len(top)) - 1) & ~top.cols[i]
+    return all(not rows[i] & rows[j] for j in bits(outside))
+
+
+def test_is_separated_in_matches_pairwise_definition():
+    # every table of every space with n <= 4, of every corrupted
+    # environment on those spaces and of the four benchmark documents, and
+    # every relation on three carrier indices and every reflexive one on four
+    docs = [
+        parse_space((BENCH_DOCS / f"{name}.json").read_text()).space
+        for name in ("discrete7", "discrete8", "chain16", "bipartite10")
+    ]
+    envs = [CheckEnv(space) for space in [*spaces_upto(4), *docs]]
+    for space in spaces_upto(4):
+        envs += [factory() for _, factory in corrupted_environments(space)]
+    tables = [env.topology(kind, flavor) for env in envs for kind in CARRIER_KINDS for flavor in FLAVORS]
+    car3 = carrier(validate_topology(2, [0, 1, 3]), "F")
+    tables += [HyperTopology(car3, "w", rows) for rows in itertools.product(range(8), repeat=3)]
+    car4 = carrier(validate_topology(2, [0, 1, 2, 3]), "F")
+    tables += [
+        HyperTopology(car4, "w", rows)
+        for rows in itertools.product(range(16), repeat=4)
+        if all((row >> i) & 1 for i, row in enumerate(rows))
+    ]
+    for t in tables:
+        for i in range(len(t)):
+            assert is_separated_in(t, i) == pairwise_separated_in(t, i), (t.carrier.kind, t.flavor, t.rows, i)
 
 
 # ------------------------------------- hausdorff / connected / compact cover
