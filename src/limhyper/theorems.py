@@ -12,10 +12,7 @@ substantive passes. Sequence-based convergence checks carry the status
 
 from __future__ import annotations
 
-import functools
-import itertools
 import os
-import random
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -35,11 +32,9 @@ from .finspace import (
 )
 from .hyperspace import (
     FLAVORS,
-    EvPerSeq,
     S_of,
     HyperTopology,
     build_topology,
-    conv1_conditions,
     hyper_closure,
     hyper_component,
     identity_continuous_at,
@@ -122,18 +117,20 @@ def check_closure_singleton(space, env):
     """The closure of one closed set in the lower topology on F(X) must be
     exactly its closed subsets."""
     t = env.topology("F", "w")
-    elems = t.carrier.elements
-    for i, a in enumerate(elems):
+    car = t.carrier
+    full_t = (1 << len(t)) - 1
+    for i, a in enumerate(car.elements):
         got = hyper_closure(t, 1 << i)
-        expected = mask_of(j for j, b in enumerate(elems) if not b & ~a)
+        # the elements inside a: those missing every point outside it
+        expected = full_t & ~car.meeting(space.full & ~a)
         if got != expected:
             return CheckResult(
                 "check_closure_singleton",
                 FAIL,
                 witness=(
                     ("element", env.fmt(a)),
-                    ("closure", env.fmt_indices(t.carrier, got)),
-                    ("expected", env.fmt_indices(t.carrier, expected)),
+                    ("closure", env.fmt_indices(car, got)),
+                    ("expected", env.fmt_indices(car, expected)),
                 ),
             )
     return CheckResult("check_closure_singleton", PASS)
@@ -491,44 +488,27 @@ def _flag(mask: int, a: int) -> str:
     return "true" if (mask >> a) & 1 else "false"
 
 
-@functools.lru_cache(maxsize=256)
-def _spot_check_plan(k: int, max_cycle: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The seeded (ordered cycle, target index) samples of the
-    ``conv1_conditions`` cross-check in ``check_conv_props``, which depend
-    on k and ``max_cycle`` only. Each draw indexes the ordered cycles over
-    k terms, shortest first and each length in lexicographic order, so its
-    cycle is its offset within its length written in base k."""
-    n_cycles = sum(k**c for c in range(1, max_cycle + 1))
-    rng = random.Random(20260809)
-    plan = []
-    for _ in range(min(64, 8 * n_cycles)):
-        i = rng.randrange(n_cycles)
-        a = rng.randrange(k)
-        c = 1
-        while i >= k**c:
-            i -= k**c
-            c += 1
-        plan.append((tuple(i // k ** (c - 1 - d) % k for d in range(c)), a))
-    return tuple(plan)
-
-
 def check_conv_props(space, env, max_pre=1, max_cycle=2):
     """Triple equivalence over every in-budget eventually periodic sequence
     of closed sets and every closed target A: Fell convergence to A, the
     point-selection conditions, and primitivity in tau_w with limit set
     equal to the closed subsets of A.
 
-    All three verdicts depend on the set of cycle terms only: the limits
-    and clusters are ANDs and ORs of table columns, and the selection
-    conditions are the AND of one mask per term. So each set of at most
-    ``max_cycle`` terms is decided once, for all targets at once as
-    bitmasks over carrier indices, in the lexicographic order of its
-    sorted terms; that order meets the sorted form of the first failing
-    ordered cycle first. A seeded sample of ordered cycles is re-evaluated
-    through ``conv1_conditions``, which decides the selection conditions
-    from the point-level definition instead. Convergence is a tail
-    property, so no preperiod changes a verdict: the sequences with a
-    preperiod of at most ``max_pre`` terms are counted, not walked.
+    Single cycle terms decide every sequence, for all targets at once as
+    bitmasks over carrier indices. For a set T of cycle terms, the Fell
+    limits are the AND of ``cols_s[t]`` over T and the selection conditions
+    the AND of ``sel[t]``; the primitive side is the ``by_subsets`` entry
+    of the terms' common ``cols_w[t]``, or empty when those differ. So if
+    every term t has ``cols_s[t] == sel[t] == by_subsets.get(cols_w[t], 0)``,
+    every T agrees: the first two are ANDs of equal masks, and where the
+    ``cols_w[t]`` differ, the selection conditions AND the entries of two
+    distinct keys, which are disjoint because ``by_subsets`` partitions the
+    targets. ``sel`` and ``by_subsets`` depend on the space and the carrier
+    only, so this holds on any table, corrupted ones included. The
+    one-term cycles come first among the ordered cycles, so the first
+    failing term is the first failing cycle. Convergence is a tail
+    property, so no preperiod changes a verdict either: ``max_pre`` and
+    ``max_cycle`` only set the counts of cycles and sequences in the note.
     """
     cid = "check_conv_props"
     tw = env.topology("F", "w")
@@ -539,73 +519,42 @@ def check_conv_props(space, env, max_pre=1, max_cycle=2):
     if k == 0:
         return CheckResult(cid, PROXY, notes="empty carrier")
 
-    n_cycles = sum(k**c for c in range(1, max_cycle + 1))
-    if n_cycles > 2_000_000:
-        raise BudgetExceeded(f"{n_cycles} cycles exceed the sequence budget")
-
     full_t = (1 << k) - 1
-    cols_w, cols_s = tw.cols, ts.cols
     # targets keyed by their closed subsets, as a mask of carrier indices
     by_subsets: dict[int, int] = {}
     for a, m in enumerate(elems):
         subs = full_t & ~car.meeting(space.full & ~m)
         by_subsets[subs] = by_subsets.get(subs, 0) | 1 << a
-    # near[t]: points x whose minimal neighborhood meets term t, i.e. the
-    # limits of constant point sequences drawn from t. A cycle's selection
-    # conditions hold for the targets A with reach <= A <= good, reach and
-    # good the union and the intersection of near over its terms; holding
-    # and meeting distribute over unions of points, so that is the AND over
-    # the terms of sel[t], the targets with reach <= A <= good for t alone.
+    # nt = near(t): points x whose minimal neighborhood meets term t, i.e.
+    # the limits of constant point sequences drawn from t. The selection
+    # conditions of a cycle hold for the targets A with reach <= A <= good,
+    # reach and good the union and the intersection of near over its
+    # terms; that is the AND over the terms of sel[t], the targets equal
+    # to near(t), which is what ``conv1_conditions`` decides point by point.
     mins = space.rows
-    near = [mask_of(x for x in range(space.n) if m & mins[x]) for m in elems]
-    sel = []
-    for nt in near:
-        s = full_t & ~car.meeting(space.full & ~nt)
+    for t, m in enumerate(elems):
+        nt = mask_of(x for x in range(space.n) if m & mins[x])
+        sel = full_t & ~car.meeting(space.full & ~nt)
         for x in bits(nt):
-            s &= car.holding[x]
-        sel.append(s)
-
-    for c in range(1, max_cycle + 1):
-        for terms in itertools.combinations(range(k), c):
-            lim_w = lim_s = conds = full_t
-            clu_w = 0
-            for t in terms:
-                lim_w &= cols_w[t]
-                clu_w |= cols_w[t]
-                lim_s &= cols_s[t]
-                conds &= sel[t]
-            p22 = by_subsets.get(lim_w, 0) if lim_w == clu_w else 0
-            bad = (lim_s ^ conds) | (conds ^ p22)
-            if bad:
-                a = (bad & -bad).bit_length() - 1
-                return CheckResult(
-                    cid,
-                    FAIL,
-                    witness=(
-                        ("cycle", _fmt_seq(env, elems, terms)),
-                        ("target", env.fmt(elems[a])),
-                        ("fell_convergence", _flag(lim_s, a)),
-                        ("selection_conditions", _flag(conds, a)),
-                        ("primitive_characterization", _flag(p22, a)),
-                    ),
-                )
-
-    for cyc, a in _spot_check_plan(k, max_cycle):
-        ca, cb = conv1_conditions(space, EvPerSeq((), tuple(elems[t] for t in cyc)), elems[a])
-        conds = full_t
-        for t in cyc:
-            conds &= sel[t]
-        if (ca and cb) != bool((conds >> a) & 1):
+            sel &= car.holding[x]
+        fell = ts.cols[t]
+        p22 = by_subsets.get(tw.cols[t], 0)
+        bad = (fell ^ sel) | (sel ^ p22)
+        if bad:
+            a = (bad & -bad).bit_length() - 1
             return CheckResult(
                 cid,
                 FAIL,
                 witness=(
-                    ("cycle", _fmt_seq(env, elems, cyc)),
+                    ("cycle", _fmt_seq(env, elems, (t,))),
                     ("target", env.fmt(elems[a])),
-                    ("disagreement", "selection-condition masks vs conv1_conditions"),
+                    ("fell_convergence", _flag(fell, a)),
+                    ("selection_conditions", _flag(sel, a)),
+                    ("primitive_characterization", _flag(p22, a)),
                 ),
             )
 
+    n_cycles = sum(k**c for c in range(1, max_cycle + 1))
     n_seq = sum(k**p for p in range(max_pre + 1)) * n_cycles
     return CheckResult(
         cid,
@@ -801,7 +750,8 @@ def corrupted_environments(space: FinTopSpace):
 def mine_check_failures(space: FinTopSpace, check_ids=None) -> dict[str, MiningHit]:
     """Expect-fail exploration: corrupt the structures and record, per
     check, the first corruption it detects. Proves the suite is
-    non-vacuous."""
+    non-vacuous. The checks of one corruption share its environment: they
+    only fill its caches of carriers and tables, which are deterministic."""
     if check_ids is None:
         check_ids = tuple(CHECKS)
     found: dict[str, MiningHit] = {}
@@ -809,8 +759,8 @@ def mine_check_failures(space: FinTopSpace, check_ids=None) -> dict[str, MiningH
         remaining = [cid for cid in check_ids if cid not in found]
         if not remaining:
             break
+        env = factory()
         for cid in remaining:
-            env = factory()
             result = run_check(cid, space, env)
             if result.status == FAIL:
                 found[cid] = MiningHit(description, env.labels, result)

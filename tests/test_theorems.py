@@ -12,6 +12,7 @@ from limhyper import (
     carrier,
     conv1_conditions,
     enumerate_topologies,
+    hyper_closure,
     is_compact_cover,
     mine_check_failures,
     parse_space,
@@ -37,7 +38,6 @@ from limhyper.theorems import (
     _fmt_seq,
     _meet_of_dense_opens,
     _not_a_topology_at,
-    _spot_check_plan,
     check_conv_props,
     corrupted_environments,
 )
@@ -107,9 +107,25 @@ def test_compactness_lemma_accepts_explicit_families(three_point):
     assert r.status == TRIVIALLY_TRUE
 
 
-def test_conv_props_budget_guard(sierpinski):
-    with pytest.raises(BudgetExceeded):
-        run_check("check_conv_props", sierpinski, max_pre=0, max_cycle=30)
+def test_conv_props_counts_long_cycles_without_walking_them(sierpinski):
+    # single terms decide every cycle, so no cycle length is out of reach;
+    # the three closed sets of the Sierpinski space give sum 3^c cycles
+    r = run_check("check_conv_props", sierpinski, max_pre=0, max_cycle=30)
+    n_cycles = sum(3**c for c in range(1, 31))
+    assert r.status == PROXY
+    assert r.notes == (
+        f"sequences stand in for nets; {n_cycles} cycles, {n_cycles} sequences "
+        "(preperiod<=0, cycle<=30) over F(X)"
+    )
+
+
+def test_verify_all_discrete_eleven():
+    # 2048 closed sets: the conv note counts k + k^2 cycles and (1 + k)
+    # times as many sequences, none of them walked
+    space = validate_topology(11, range(1 << 11))
+    results = {r.check_id: r for r in verify_all(space).results}
+    assert all(r.status != FAIL for r in results.values())
+    assert "4196352 cycles, 8598325248 sequences" in results["check_conv_props"].notes
 
 
 def test_sweep_counts_and_cleanliness():
@@ -575,28 +591,6 @@ def per_cycle_conv_props(space, env, max_pre=1, max_cycle=2):
     )
 
 
-def inline_spot_check_plan(k, max_cycle):
-    """The seeded cross-check samples as ``check_conv_props`` drew them
-    inline, from the list of every ordered cycle, before the plan was
-    cached per (k, max_cycle)."""
-    cycles = []
-    for c in range(1, max_cycle + 1):
-        cycles.extend(itertools.product(range(k), repeat=c))
-    rng = random.Random(20260809)
-    plan = []
-    for _ in range(min(64, 8 * len(cycles))):
-        i = rng.randrange(len(cycles))
-        a = rng.randrange(k)
-        plan.append((cycles[i], a))
-    return tuple(plan)
-
-
-def test_spot_check_plan_matches_inline_draws():
-    for k in range(1, 41):
-        for max_cycle in (1, 2, 3):
-            assert _spot_check_plan(k, max_cycle) == inline_spot_check_plan(k, max_cycle), (k, max_cycle)
-
-
 def test_conv1_first_condition_matches_pointwise_loop():
     # every subset of the ground set as a cycle term and as a target, so
     # non-closed terms and targets are covered too
@@ -625,3 +619,164 @@ def test_conv_props_per_set_matches_per_cycle_loop():
                     assert (got.status, got.witness, got.notes) == (want.status, want.witness, want.notes)
                     failures += got.status == FAIL
     assert failures > 0
+
+
+def per_set_conv_props(space, env, max_pre=1, max_cycle=2):
+    """``check_conv_props`` as it was before single terms decided it: each
+    set of at most ``max_cycle`` cycle terms decided once, in the
+    lexicographic order of its sorted terms. Its cycle budget and seeded
+    ``conv1_conditions`` spot-check are left out."""
+    cid = "check_conv_props"
+    tw = env.topology("F", "w")
+    ts = env.topology("F", "s")
+    car = tw.carrier
+    elems = car.elements
+    k = len(elems)
+    if k == 0:
+        return CheckResult(cid, PROXY, notes="empty carrier")
+    n_cycles = sum(k**c for c in range(1, max_cycle + 1))
+    full_t = (1 << k) - 1
+    cols_w, cols_s = tw.cols, ts.cols
+    by_subsets = {}
+    for a, m in enumerate(elems):
+        subs = full_t & ~car.meeting(space.full & ~m)
+        by_subsets[subs] = by_subsets.get(subs, 0) | 1 << a
+    mins = space.rows
+    near = [mask_of(x for x in range(space.n) if m & mins[x]) for m in elems]
+    sel = []
+    for nt in near:
+        s = full_t & ~car.meeting(space.full & ~nt)
+        for x in bits(nt):
+            s &= car.holding[x]
+        sel.append(s)
+    for c in range(1, max_cycle + 1):
+        for terms in itertools.combinations(range(k), c):
+            lim_w = lim_s = conds = full_t
+            clu_w = 0
+            for t in terms:
+                lim_w &= cols_w[t]
+                clu_w |= cols_w[t]
+                lim_s &= cols_s[t]
+                conds &= sel[t]
+            p22 = by_subsets.get(lim_w, 0) if lim_w == clu_w else 0
+            bad = (lim_s ^ conds) | (conds ^ p22)
+            if bad:
+                a = (bad & -bad).bit_length() - 1
+                return CheckResult(
+                    cid,
+                    FAIL,
+                    witness=(
+                        ("cycle", _fmt_seq(env, elems, terms)),
+                        ("target", env.fmt(elems[a])),
+                        ("fell_convergence", _flag(lim_s, a)),
+                        ("selection_conditions", _flag(conds, a)),
+                        ("primitive_characterization", _flag(p22, a)),
+                    ),
+                )
+    n_seq = sum(k**p for p in range(max_pre + 1)) * n_cycles
+    return CheckResult(
+        cid,
+        PROXY,
+        notes=(
+            f"sequences stand in for nets; {n_cycles} cycles, {n_seq} sequences "
+            f"(preperiod<={max_pre}, cycle<={max_cycle}) over F(X)"
+        ),
+    )
+
+
+def test_conv_props_single_terms_match_per_set_loop():
+    # status, witness and notes on the honest and every corrupted
+    # environment of each space on at most four points for cycles of up to
+    # three terms, and of the benchmark documents for up to two
+    spaces = [space for n in range(5) for space in enumerate_topologies(n)]
+    for name in ("discrete7", "discrete8", "chain16", "bipartite10"):
+        spaces.append(parse_space((BENCH_DOCS / f"{name}.json").read_text()).space)
+    statuses = []
+    for space in spaces:
+        budgets = ((0, 1), (1, 2), (2, 3)) if space.n <= 4 else ((0, 1), (1, 2))
+        for env in [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]:
+            for max_pre, max_cycle in budgets:
+                got = check_conv_props(space, env, max_pre=max_pre, max_cycle=max_cycle)
+                want = per_set_conv_props(space, env, max_pre=max_pre, max_cycle=max_cycle)
+                assert (got.status, got.witness, got.notes) == (want.status, want.witness, want.notes)
+                statuses.append(got.status)
+    assert set(statuses) == {PROXY, FAIL}
+
+
+def per_term_selection(space, car):
+    """One selection mask per F-carrier term, in the reach/good form of
+    ``per_cycle_conv_props`` for a cycle of that term alone: the targets A
+    with reach <= A <= good, where reach and good are both the points whose
+    minimal neighborhood meets the term."""
+    full_t = (1 << len(car)) - 1
+    sel = []
+    for m in car.elements:
+        near = mask_of(x for x in range(space.n) if m & space.rows[x])
+        conds = full_t
+        for x in bits(near):
+            conds &= car.holding[x]
+        conds &= ~car.meeting(space.full & ~near)
+        sel.append(conds)
+    return sel
+
+
+def test_conv1_conditions_are_the_and_of_per_term_selections():
+    # every ordered cycle of at most two F-carrier terms against every
+    # target, on the honest and every corrupted environment of each space
+    # on at most three points
+    pairs = held = 0
+    for n in range(4):
+        for space in enumerate_topologies(n):
+            for env in [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]:
+                car = env.carrier("F")
+                elems = car.elements
+                sel = per_term_selection(space, car)
+                for c in (1, 2):
+                    for cyc in itertools.product(range(len(elems)), repeat=c):
+                        conds = (1 << len(elems)) - 1
+                        for t in cyc:
+                            conds &= sel[t]
+                        seq = EvPerSeq((), tuple(elems[t] for t in cyc))
+                        for a, target in enumerate(elems):
+                            ca, cb = conv1_conditions(space, seq, target)
+                            assert (ca and cb) == bool((conds >> a) & 1), (space, cyc, target)
+                            pairs += 1
+                            held += ca and cb
+    assert pairs > 10000 and 0 < held < pairs
+
+
+def scan_closure_singleton(space, env):
+    """``check_closure_singleton`` with its expected closure found by
+    scanning every carrier element, as before it became the complement of
+    the elements meeting the points outside."""
+    t = env.topology("F", "w")
+    elems = t.carrier.elements
+    for i, a in enumerate(elems):
+        got = hyper_closure(t, 1 << i)
+        expected = mask_of(j for j, b in enumerate(elems) if not b & ~a)
+        if got != expected:
+            return CheckResult(
+                "check_closure_singleton",
+                FAIL,
+                witness=(
+                    ("element", env.fmt(a)),
+                    ("closure", env.fmt_indices(t.carrier, got)),
+                    ("expected", env.fmt_indices(t.carrier, expected)),
+                ),
+            )
+    return CheckResult("check_closure_singleton", PASS)
+
+
+def test_closure_singleton_matches_element_scan():
+    # the honest and every corrupted environment of each space on at most
+    # four points and of the benchmark documents
+    spaces = [space for n in range(5) for space in enumerate_topologies(n)]
+    for name in ("discrete7", "discrete8", "chain16", "bipartite10"):
+        spaces.append(parse_space((BENCH_DOCS / f"{name}.json").read_text()).space)
+    statuses = []
+    for space in spaces:
+        for env in [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]:
+            got = run_check("check_closure_singleton", space, env)
+            assert got == scan_closure_singleton(space, env)
+            statuses.append(got.status)
+    assert set(statuses) == {PASS, FAIL}
