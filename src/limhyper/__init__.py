@@ -55,6 +55,7 @@ from .hyperspace import (
 from .limitsets import (
     HyperCarrier,
     carrier,
+    carriers,
     eta,
     is_limit_set,
     is_limit_set_oracle,

@@ -14,7 +14,7 @@ import sys
 from .errors import AxiomViolation, BudgetExceeded, LimHyperError, ParseError
 from .finspace import bits, digest, separated_points, set_repr
 from .hyperspace import EvPerSeq, build_topology, is_separated_in, seq_limits
-from .limitsets import CARRIER_KINDS, carrier
+from .limitsets import CARRIER_KINDS, carrier, carriers
 from .spaceio import LabeledSpace, emit_report, parse_point_set, parse_space
 from .theorems import FAIL, sweep, verify_all
 
@@ -38,10 +38,11 @@ def _cmd_validate(args) -> int:
 def _cmd_report(args) -> int:
     doc = _load(args.file)
     space, labels = doc.space, doc.labels
-    car = carrier(space, args.carrier)
+    cars = carriers(space)
+    car = cars[args.carrier]
     flavor = args.topology
     top = build_topology(car, flavor)
-    ml = set(carrier(space, "ML").elements)
+    ml = set(cars["ML"].elements)
 
     print(f"space: n={space.n} digest={digest(space)}")
     print("points: " + set_repr(space.full, labels))

@@ -78,6 +78,16 @@ class FinTopSpace:
                 rows[x] &= u
         return tuple(rows)
 
+    @cached_property
+    def closures(self) -> tuple[int, ...]:
+        """``closures[x]`` is cl{x}, the transpose of ``rows``: y lies in
+        cl{x} exactly when x lies in every open around y."""
+        cols = [0] * self.n
+        for y, row in enumerate(self.rows):
+            for x in bits(row):
+                cols[x] |= 1 << y
+        return tuple(cols)
+
     def __repr__(self) -> str:
         sets = " ".join(set_repr(u) for u in self.opens)
         return f"FinTopSpace(n={self.n}, opens=[{sets}])"
@@ -162,8 +172,7 @@ def closed_sets(space: FinTopSpace) -> tuple[int, ...]:
 
 def is_T0(space: FinTopSpace) -> bool:
     """True when singleton closures are pairwise distinct."""
-    seen = {closure(space, 1 << x) for x in range(space.n)}
-    return len(seen) == space.n
+    return len(set(space.closures)) == space.n
 
 
 def is_connected(space: FinTopSpace) -> bool:
@@ -182,8 +191,7 @@ def separated_points(space: FinTopSpace) -> int:
     """
     mins = space.rows
     out = 0
-    for y in range(space.n):
-        cl = closure(space, 1 << y)
+    for y, cl in enumerate(space.closures):
         if all(not mins[y] & mins[z] for z in bits(space.full & ~cl)):
             out |= 1 << y
     return out
@@ -192,8 +200,7 @@ def separated_points(space: FinTopSpace) -> int:
 def specialization_pairs(space: FinTopSpace) -> tuple[tuple[int, int], ...]:
     """All pairs (x, y) with x in closure({y}), reflexive pairs included."""
     pairs = []
-    for y in range(space.n):
-        cl = closure(space, 1 << y)
+    for y, cl in enumerate(space.closures):
         pairs.extend((x, y) for x in bits(cl))
     return tuple(sorted(pairs))
 

@@ -106,22 +106,26 @@ def build_topology(car: HyperCarrier, flavor: str) -> HyperTopology:
     tau_w: B is in the minimal neighborhood of A iff B meets every open
     that meets A, that is min_nbhd(x) for each x in A, since an open meets
     A exactly when it contains some such min_nbhd(x); this holds for any
-    subset A, closed or not. tau_s additionally requires B to be a subset
-    of A: the union of the compacts disjoint from A is the complement of
-    A, so the tightest miss constraint around A is exactly that complement.
+    subset A, closed or not. So row i is the AND of ``car.near[x]`` over
+    the points x of element i. tau_s additionally requires B to be a
+    subset of A: the union of the compacts disjoint from A is the
+    complement of A, so the tightest miss constraint around A is exactly
+    that complement, and the row is ANDed with ``car.subsets[i]``.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected 'w' or 's'")
-    space = car.space
-    near = [car.meeting(nb) for nb in space.rows]
+    near = car.near
+    full_k = (1 << len(car)) - 1
     rows = []
     for a in car.elements:
-        row = (1 << len(car)) - 1
-        for x in bits(a):
-            row &= near[x]
-        if flavor == "s":
-            row &= ~car.meeting(space.full & ~a)
+        row = full_k
+        while a:
+            low = a & -a
+            row &= near[low.bit_length() - 1]
+            a ^= low
         rows.append(row)
+    if flavor == "s":
+        rows = [row & sub for row, sub in zip(rows, car.subsets)]
     return HyperTopology(car, flavor, tuple(rows))
 
 
@@ -275,9 +279,8 @@ def S_of(m: tuple[int, ...], top: HyperTopology) -> int:
 
 def inclusion_relation(car: HyperCarrier) -> tuple[int, ...]:
     """Row i is the mask of the indices j with element i a subset of
-    element j."""
-    elems = car.elements
-    return tuple(mask_of(j for j, b in enumerate(elems) if not a & ~b) for a in elems)
+    element j: ``car.supersets``."""
+    return car.supersets
 
 
 def seq_limits(top: HyperTopology, seq: EvPerSeq) -> int:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import BudgetExceeded, NotInCarrier
-from .finspace import FinTopSpace, _check_subset, bits, canonical_key, closed_sets, closure, set_repr
+from .errors import BudgetExceeded, GroundMismatch, NotInCarrier
+from .finspace import FinTopSpace, _check_subset, bits, closed_sets, set_repr
 
 CARRIER_KINDS = ("F", "Fprime", "L", "Lprime", "ML")
 
@@ -53,6 +53,32 @@ class HyperCarrier:
         for x in bits(points):
             out |= self.holding[x]
         return out
+
+    @cached_property
+    def near(self) -> tuple[int, ...]:
+        """``near[x]``: mask of the carrier indices whose element meets
+        min_nbhd(x)."""
+        return tuple(self.meeting(row) for row in self.space.rows)
+
+    @cached_property
+    def subsets(self) -> tuple[int, ...]:
+        """``subsets[i]``: mask of the carrier indices whose element lies
+        inside element i, the elements missing every point outside it."""
+        full_k = (1 << len(self.elements)) - 1
+        full = self.space.full
+        return tuple(full_k & ~self.meeting(full & ~a) for a in self.elements)
+
+    @cached_property
+    def supersets(self) -> tuple[int, ...]:
+        """``supersets[i]``: mask of the carrier indices whose element
+        contains element i, the elements holding each of its points."""
+        out = []
+        for a in self.elements:
+            row = (1 << len(self.elements)) - 1
+            for x in bits(a):
+                row &= self.holding[x]
+            out.append(row)
+        return tuple(out)
 
     def index(self, mask: int) -> int:
         try:
@@ -118,35 +144,35 @@ def limit_witness(space: FinTopSpace, l: int) -> int | None:
 
 def eta(space: FinTopSpace, x: int) -> int:
     """Closure of the singleton {x}; always a nonempty closed limit set."""
-    return closure(space, 1 << x)
+    if not 0 <= x < space.n:
+        raise GroundMismatch(f"point {x} outside the {space.n}-point ground set")
+    return space.closures[x]
+
+
+def carriers(space: FinTopSpace) -> dict[str, HyperCarrier]:
+    """The five carriers F, Fprime, L, Lprime, ML, keyed by kind, in one pass.
+
+    The closed sets are sorted once and the limit-set predicate is tested
+    once on each; the other kinds are filters that keep the order. L keeps
+    the closed limit sets, Fprime and Lprime drop the empty set, and ML
+    keeps the inclusion-maximal nonempty closed limit sets; the closure of
+    a limit set is again one, so they are maximal among all limit sets.
+    Scanned from the largest down, a set is maximal when no maximal set
+    found so far contains it, as a strict superset lies under one of those.
+    """
+    closed = closed_sets(space)
+    limits = tuple(c for c in closed if _meet_of_meeting_opens(space, c))
+    maximal = []
+    for c in reversed(limits):
+        if c and all(c & ~d for d in maximal):
+            maximal.append(c)
+    elems = (closed, tuple(c for c in closed if c), limits, tuple(c for c in limits if c), tuple(reversed(maximal)))
+    return {kind: HyperCarrier(space, kind, e) for kind, e in zip(CARRIER_KINDS, elems)}
 
 
 def carrier(space: FinTopSpace, kind: str) -> HyperCarrier:
-    """Build one of the five carriers F, Fprime, L, Lprime, ML.
-
-    L keeps the closed sets satisfying the limit-set predicate, Lprime
-    drops the empty set, and ML keeps the inclusion-maximal nonempty
-    closed limit sets. Maximality among closed limit sets agrees with
-    maximality among all limit sets because the closure of a limit set is
-    again a limit set.
-    """
+    """One of the five carriers F, Fprime, L, Lprime, ML, as ``carriers``
+    builds it."""
     if kind not in CARRIER_KINDS:
         raise ValueError(f"unknown carrier kind {kind!r}; expected one of {CARRIER_KINDS}")
-    closed = closed_sets(space)
-    if kind == "F":
-        elems = closed
-    elif kind == "Fprime":
-        elems = tuple(c for c in closed if c)
-    else:
-        limits = tuple(c for c in closed if is_limit_set(space, c))
-        if kind == "L":
-            elems = limits
-        elif kind == "Lprime":
-            elems = tuple(c for c in limits if c)
-        else:
-            nonempty = [c for c in limits if c]
-            elems = tuple(
-                c for c in nonempty
-                if not any(d != c and c & ~d == 0 for d in nonempty)
-            )
-    return HyperCarrier(space, kind, tuple(sorted(elems, key=canonical_key)))
+    return carriers(space)[kind]

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
-from limhyper import validate_topology
+from limhyper import carriers, enumerate_topologies, parse_space, validate_topology
+from limhyper.limitsets import CARRIER_KINDS
+from limhyper.theorems import corrupted_environments
 
 
 @pytest.fixture
@@ -29,3 +33,33 @@ def indiscrete2():
 def sierpinski_plus_isolated():
     # Sierpinski on {0,1} next to the isolated point 2
     return validate_topology(3, [0b000, 0b001, 0b100, 0b011, 0b101, 0b111])
+
+
+BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
+DOC_NAMES = ("discrete7", "discrete8", "chain16", "bipartite10")
+
+
+def bench_doc_spaces():
+    return [parse_space((BENCH_DOCS / f"{name}.json").read_text()).space for name in DOC_NAMES]
+
+
+@pytest.fixture(scope="session")
+def carrier_corpus():
+    """The carriers the table equivalence tests run on: the five honest
+    carriers of every space with n <= 5 and of the four benchmark
+    documents, then every corrupted carrier that mining builds on the
+    spaces with n <= 4, non-closed, non-limit and non-maximal elements
+    included."""
+    spaces = [s for n in range(6) for s in enumerate_topologies(n)] + bench_doc_spaces()
+    cars = [car for space in spaces for car in carriers(space).values()]
+    seen = {(car.space, car.kind, car.elements) for car in cars}
+    for space in (s for n in range(5) for s in enumerate_topologies(n)):
+        for _, factory in corrupted_environments(space):
+            env = factory()
+            for kind in CARRIER_KINDS:
+                car = env.carrier(kind)
+                key = (space, kind, car.elements)
+                if key not in seen:
+                    seen.add(key)
+                    cars.append(car)
+    return cars

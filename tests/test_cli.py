@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from limhyper import build_topology, carrier, is_separated_in, parse_space
+from limhyper import build_topology, carrier, carriers, cli, is_separated_in, parse_space
 from limhyper.cli import run
 from limhyper.finspace import bits, digest, family_repr, separated_points, set_repr
 from limhyper.hyperspace import FLAVORS
@@ -126,6 +126,21 @@ def test_report_matches_reference_formatter_on_benchmark_documents(name, capsys)
             # a bare bool keeps pytest from diffing hundreds of long lines
             same = got == want
             assert same, (kind, flavor, next((p for p in zip(got.splitlines(), want.splitlines()) if p[0] != p[1]), None))
+
+
+def test_report_builds_the_carriers_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(space):
+        calls.append(space)
+        return carriers(space)
+
+    monkeypatch.setattr(cli, "carriers", counted)
+    monkeypatch.setattr(cli, "carrier", None)  # a per-kind build would raise
+    for kind in ("F", "ML"):
+        assert run(["report", str(BENCH_DOCS / "discrete7.json"), "--carrier", kind]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
 
 
 def test_sweep_three(capsys):

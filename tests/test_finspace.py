@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bench_doc_spaces
 from limhyper import (
     AxiomViolation,
     BudgetExceeded,
@@ -284,6 +285,11 @@ def test_separated_points_examples(sierpinski, three_point, discrete2):
     assert separated_points(sierpinski) == 0b01
     assert separated_points(three_point) == 0b011
     assert separated_points(discrete2) == 0b11
+
+
+def test_closures_match_closure_of_each_point():
+    for space in [*spaces_upto(5), *bench_doc_spaces()]:
+        assert space.closures == tuple(closure(space, 1 << x) for x in range(space.n))
 
 
 def test_separated_points_matches_oracle():

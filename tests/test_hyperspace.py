@@ -95,6 +95,36 @@ def test_build_topology_structural_invariants():
                     assert ts.min_nbhds[j] <= ts.min_nbhds[i]
 
 
+def reference_build_topology(car, flavor):
+    """``build_topology``'s rows before the carrier cached ``near`` and
+    ``subsets``: both rebuilt per call, the tau_s miss mask per element;
+    kept as the reference for the word-table build."""
+    space = car.space
+    near = [car.meeting(nb) for nb in space.rows]
+    rows = []
+    for a in car.elements:
+        row = (1 << len(car)) - 1
+        for x in bits(a):
+            row &= near[x]
+        if flavor == "s":
+            row &= ~car.meeting(space.full & ~a)
+        rows.append(row)
+    return tuple(rows)
+
+
+def reference_inclusion_relation(car):
+    """``inclusion_relation``'s body before it read ``car.supersets``."""
+    elems = car.elements
+    return tuple(mask_of(j for j, b in enumerate(elems) if not a & ~b) for a in elems)
+
+
+def test_build_topology_and_inclusion_relation_match_reference_bodies(carrier_corpus):
+    for car in carrier_corpus:
+        for flavor in FLAVORS:
+            assert build_topology(car, flavor).rows == reference_build_topology(car, flavor), (car, flavor)
+        assert inclusion_relation(car) == reference_inclusion_relation(car), car
+
+
 def test_build_topology_matches_oracle_on_corrupted_carriers():
     # the carriers mining injects non-closed, non-limit and non-maximal
     # elements into, or drops maximal ones from: the closed form holds for

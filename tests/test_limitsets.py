@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bench_doc_spaces
 from limhyper import (
     BudgetExceeded,
+    GroundMismatch,
     NotInCarrier,
     carrier,
+    carriers,
     closure,
     enumerate_topologies,
     eta,
@@ -20,7 +23,8 @@ from limhyper import (
     parse_space,
     validate_topology,
 )
-from limhyper.finspace import bits
+from limhyper.finspace import bits, canonical_key, closed_sets, mask_of
+from limhyper.limitsets import CARRIER_KINDS
 
 BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
 
@@ -159,6 +163,59 @@ def test_eta_examples(sierpinski, three_point, discrete2):
     assert eta(sierpinski, 0) == 0b11
     assert eta(three_point, 1) == 0b110
     assert all(eta(discrete2, x) == 1 << x for x in range(2))
+
+
+def test_eta_rejects_points_outside_the_ground_set(sierpinski):
+    for x in (-1, 2):
+        with pytest.raises(GroundMismatch):
+            eta(sierpinski, x)
+
+
+def per_kind_carrier(space, kind):
+    """``carrier``'s body before ``carriers`` built the five kinds in one
+    pass: each kind sorts the closed sets and tests the limit predicate on
+    its own, and ML compares every pair of nonempty limit sets; kept as
+    the reference for ``carriers``."""
+    closed = closed_sets(space)
+    if kind == "F":
+        elems = closed
+    elif kind == "Fprime":
+        elems = tuple(c for c in closed if c)
+    else:
+        limits = tuple(c for c in closed if is_limit_set(space, c))
+        if kind == "L":
+            elems = limits
+        elif kind == "Lprime":
+            elems = tuple(c for c in limits if c)
+        else:
+            nonempty = [c for c in limits if c]
+            elems = tuple(
+                c for c in nonempty
+                if not any(d != c and c & ~d == 0 for d in nonempty)
+            )
+    return tuple(sorted(elems, key=canonical_key))
+
+
+def test_carriers_match_per_kind_reference():
+    # every space with n <= 5 and the four benchmark documents, element
+    # order included; ``carrier`` hands out the same carrier
+    for space in [*spaces_upto(5), *bench_doc_spaces()]:
+        built = carriers(space)
+        assert tuple(built) == CARRIER_KINDS
+        for kind, car in built.items():
+            assert (car.space, car.kind) == (space, kind)
+            assert car.elements == per_kind_carrier(space, kind), (space, kind)
+            assert carrier(space, kind) == car
+
+
+def test_carrier_tables_match_definitions(carrier_corpus):
+    # honest carriers with n <= 5 and of the documents, corrupted ones
+    # with n <= 4; each table against its definition, pair by pair
+    for car in carrier_corpus:
+        elems = car.elements
+        assert car.near == tuple(mask_of(i for i, m in enumerate(elems) if m & row) for row in car.space.rows)
+        assert car.subsets == tuple(mask_of(j for j, b in enumerate(elems) if not b & ~a) for a in elems)
+        assert car.supersets == tuple(mask_of(j for j, b in enumerate(elems) if not a & ~b) for a in elems)
 
 
 def test_eta_lands_in_lprime():

@@ -21,7 +21,7 @@ from limhyper import (
     validate_topology,
     verify_all,
 )
-from limhyper import theorems
+from limhyper import FinTopSpace, HyperCarrier, HyperTopology, S_of, theorems
 from limhyper.finspace import bits, canonical_key, mask_of
 from limhyper.hyperspace import FLAVORS, build_topology
 from limhyper.limitsets import CARRIER_KINDS
@@ -780,3 +780,62 @@ def test_closure_singleton_matches_element_scan():
             assert got == scan_closure_singleton(space, env)
             statuses.append(got.status)
     assert set(statuses) == {PASS, FAIL}
+
+
+def slice_loop_failure(ts):
+    """The slice-map loop ``check_product_structure`` ran after its
+    topology precheck, kept as the reference its docstring's proof
+    replaces: the first index a whose row nb[a] is not inside
+    S(hull(row a)), or None."""
+    nb = ts.rows
+    k = len(nb)
+    for a in range(k):
+        # the product minimal neighborhood of (a, b) is nb[a] x nb[b]; the
+        # hull of row a is their union over b, one mask of second
+        # coordinates per first coordinate
+        hull = [0] * k
+        for b in range(k):
+            for x in bits(nb[a]):
+                hull[x] |= nb[b]
+        s_mask = S_of(tuple(hull), ts)
+        if nb[a] & ~s_mask:
+            return a
+    return None
+
+
+def random_preorder_rows(rng, k):
+    """A random reflexive, transitive relation on k indices, as row masks."""
+    rows = [1 << i | (rng.getrandbits(k) & rng.getrandbits(k)) for i in range(k)]
+    for m in range(k):
+        for i in range(k):
+            if (rows[i] >> m) & 1:
+                rows[i] |= rows[m]
+    return tuple(rows)
+
+
+def test_slice_loop_never_fails_past_the_topology_precheck(carrier_corpus):
+    # both tables of every carrier in the corpus (honest with n <= 5 and of
+    # the documents, corrupted with n <= 4), every table of every corrupted
+    # environment with n <= 4, and random preorders: wherever
+    # ``_not_a_topology_at`` passes, the deleted loop would have passed too
+    tables = [build_topology(car, flavor) for car in carrier_corpus for flavor in FLAVORS]
+    for space in (s for n in range(5) for s in enumerate_topologies(n)):
+        for _, factory in corrupted_environments(space):
+            env = factory()
+            tables += [env.topology(kind, flavor) for kind in CARRIER_KINDS for flavor in FLAVORS]
+    rng = random.Random(1210)
+    dummy = FinTopSpace(0, (0,))
+    for _ in range(2000):
+        k = rng.randrange(1, 10)
+        tables.append(HyperTopology(HyperCarrier(dummy, "L", tuple(range(k))), "s", random_preorder_rows(rng, k)))
+    # the loop reads only the rows, so each distinct table is run once
+    distinct = {t.rows: t for t in tables}
+    checked = 0
+    for t in distinct.values():
+        if _not_a_topology_at(t) is None:
+            assert slice_loop_failure(t) is None, t
+            checked += 1
+    assert checked > 1000
+    # the loop itself can fail: on a table that is not reflexive
+    stuck = HyperTopology(HyperCarrier(dummy, "L", (0, 1, 2)), "s", (1, 1, 1))
+    assert _not_a_topology_at(stuck) == 1 and slice_loop_failure(stuck) == 0
