@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 for success or all checks passing, 1 for a detected check
-failure (witness printed), 2 for usage or parse errors. Results go to
+failure (witness printed), 2 for usage, parse or read errors. Results go to
 stdout, diagnostics to stderr. ``--jobs`` only changes timing, never
 output bytes; its default comes from the LH_JOBS environment variable.
 """
@@ -9,14 +9,22 @@ output bytes; its default comes from the LH_JOBS environment variable.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
-from .errors import AxiomViolation, BudgetExceeded, LimHyperError, ParseError
+from .errors import AxiomViolation, LimHyperError, ParseError
 from .finspace import bits, digest, separated_points, set_repr
-from .hyperspace import EvPerSeq, build_topology, is_separated_in, seq_limits
+from .hyperspace import FLAVORS, EvPerSeq, build_topology, is_separated_in, seq_limits
 from .limitsets import CARRIER_KINDS, carrier, carriers
 from .spaceio import LabeledSpace, emit_report, parse_point_set, parse_space
 from .theorems import FAIL, sweep, verify_all
+
+# A term is a {label,...} group, separated from the next by a comma or a
+# '|'. Labels hold no braces, so the groups are found before the labels are
+# read, and a label may contain '|'.
+_TERM = r"\{[^{}]*\}"
+_TERMS = re.compile(rf"{_TERM}(?:(?:,\s*|\s*\|\s*){_TERM})*")
+
 
 def _load(path: str) -> LabeledSpace:
     with open(path, encoding="utf-8") as fh:
@@ -90,8 +98,10 @@ def _parse_seq(spec: str, labels, closed_elems) -> EvPerSeq:
         body = body.strip()
         if not body:
             return ()
+        if not _TERMS.fullmatch(body):
+            raise ParseError(f"terms must be point sets {{label,...}} separated by commas, got {body!r}")
         terms = []
-        for piece in body.replace("},", "}|").split("|"):
+        for piece in re.findall(_TERM, body):
             mask = parse_point_set(piece, labels)
             try:
                 terms.append(closed_elems.index(mask))
@@ -136,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="print carrier elements with their neighborhood data")
     p.add_argument("file")
     p.add_argument("--carrier", choices=CARRIER_KINDS, default="F")
-    p.add_argument("--topology", choices=("w", "s"), default="w")
+    p.add_argument("--topology", choices=FLAVORS, default="w")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("verify", help="run every check against one space")
@@ -154,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--seq", required=True, help='eventually periodic sequence, e.g. "pre:[];cyc:[{b},{a,b}]"')
     p.add_argument("--target", required=True, help='closed target set, e.g. "{b}"')
-    p.add_argument("--topology", choices=("w", "s"), default="w")
+    p.add_argument("--topology", choices=FLAVORS, default="w")
     p.set_defaults(func=_cmd_converge)
     return parser
 
@@ -167,10 +177,7 @@ def run(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (ParseError, BudgetExceeded, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LimHyperError as exc:
+    except (LimHyperError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import AxiomViolation, BudgetExceeded, GroundMismatch, InvariantViolation
 
@@ -41,6 +41,61 @@ def mask_of(points: Iterable[int]) -> int:
 def canonical_key(mask: int) -> tuple[int, int]:
     """Sort key for set families: cardinality first, then mask value."""
     return (mask.bit_count(), mask)
+
+
+def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """Transpose of a table of row masks: ``cols[j]`` holds the i with j in
+    ``rows[i]``, for j below ``width``."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return tuple(cols)
+
+
+def union_of(rows: Sequence[int], mask: int) -> int:
+    """OR of ``rows[i]`` over the bits i of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def meet_of(rows: Sequence[int], mask: int, full: int) -> int:
+    """AND of ``rows[i]`` over the bits i of ``mask``, starting from ``full``."""
+    out = full
+    while mask:
+        low = mask & -mask
+        out &= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def component(rows: Sequence[int], cols: Sequence[int], start: int) -> int:
+    """Mask of the indices joined to ``start`` through rows and columns,
+    where i is adjacent to every index of ``rows[i] | cols[i]``. For a
+    minimal-neighborhood table this is the least clopen set holding
+    ``start``: a clopen set holds each row and each closure of its members."""
+    seen = frontier = 1 << start
+    while frontier:
+        i = (frontier & -frontier).bit_length() - 1
+        new = (rows[i] | cols[i]) & ~seen
+        seen |= new
+        frontier = (frontier & (frontier - 1)) | new
+    return seen
+
+
+def is_separated(rows: Sequence[int], cols: Sequence[int], i: int) -> bool:
+    """True when index i has a neighborhood disjoint from one of every index
+    outside its closure ``cols[i]``: every index whose row meets ``rows[i]``,
+    the closure of ``rows[i]``, lies in ``cols[i]``. Minimal neighborhoods
+    are disjoint exactly when some neighborhoods are."""
+    return not union_of(cols, rows[i]) & ~cols[i]
 
 
 def set_repr(mask: int, labels: tuple[str, ...] | None = None) -> str:
@@ -82,11 +137,7 @@ class FinTopSpace:
     def closures(self) -> tuple[int, ...]:
         """``closures[x]`` is cl{x}, the transpose of ``rows``: y lies in
         cl{x} exactly when x lies in every open around y."""
-        cols = [0] * self.n
-        for y, row in enumerate(self.rows):
-            for x in bits(row):
-                cols[x] |= 1 << y
-        return tuple(cols)
+        return transpose(self.rows, self.n)
 
     def __repr__(self) -> str:
         sets = " ".join(set_repr(u) for u in self.opens)
@@ -135,22 +186,17 @@ def validate_topology(n: int, opens: Iterable[int]) -> FinTopSpace:
 
 
 def _check_subset(space: FinTopSpace, s: int) -> None:
-    if s < 0 or s & ~space.full:
+    if s < 0:
+        raise GroundMismatch(f"negative point set mask {s}")
+    if s & ~space.full:
         raise GroundMismatch(f"point set {set_repr(s)} outside the {space.n}-point ground set")
 
 
 def closure(space: FinTopSpace, s: int) -> int:
-    """Smallest closed superset of ``s``.
-
-    The union of all opens disjoint from ``s`` is the largest open avoiding
-    it; the complement of that union is the closure.
-    """
+    """Smallest closed superset of ``s``: the union of the point closures
+    cl{x} over x in s, a finite union of closed sets. O(|s|)."""
     _check_subset(space, s)
-    avoid = 0
-    for u in space.opens:
-        if not u & s:
-            avoid |= u
-    return space.full & ~avoid
+    return union_of(space.closures, s)
 
 
 def min_nbhd(space: FinTopSpace, x: int) -> int:
@@ -176,25 +222,15 @@ def is_T0(space: FinTopSpace) -> bool:
 
 
 def is_connected(space: FinTopSpace) -> bool:
-    """True when no set other than the empty set and the ground set is clopen."""
-    fam = set(space.opens)
-    full = space.full
-    return not any(u not in (0, full) and (full ^ u) in fam for u in space.opens)
+    """True when no set other than the empty set and the ground set is
+    clopen: the component of point 0 is the whole space. O(n)."""
+    return space.n <= 1 or component(space.rows, space.closures, 0) == space.full
 
 
 def separated_points(space: FinTopSpace) -> int:
     """Points y that have a neighborhood disjoint from some neighborhood of
-    every z outside closure({y}); returned as a bitmask.
-
-    Disjoint opens around y and z exist exactly when the minimal
-    neighborhoods of y and z are disjoint.
-    """
-    mins = space.rows
-    out = 0
-    for y, cl in enumerate(space.closures):
-        if all(not mins[y] & mins[z] for z in bits(space.full & ~cl)):
-            out |= 1 << y
-    return out
+    every z outside closure({y}); returned as a bitmask."""
+    return mask_of(y for y in range(space.n) if is_separated(space.rows, space.closures, y))
 
 
 def specialization_pairs(space: FinTopSpace) -> tuple[tuple[int, int], ...]:
@@ -235,9 +271,8 @@ def from_preorder(n: int, relation: Iterable[tuple[int, int]]) -> FinTopSpace:
     while changed:
         changed = False
         for i in range(n):
-            merged = rows[i]
-            for j in bits(rows[i]):
-                merged |= rows[j]
+            # rows[i] holds i, so the union holds rows[i] itself
+            merged = union_of(rows, rows[i])
             if merged != rows[i]:
                 rows[i] = merged
                 changed = True

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import InvariantViolation, NotOpen
-from .finspace import FinTopSpace, bits, mask_of, set_repr
+from .finspace import FinTopSpace, bits, component, is_separated, mask_of, meet_of, set_repr, transpose, union_of
 from .limitsets import HyperCarrier, carrier as build_carrier
 
 FLAVORS = ("w", "s")
@@ -45,11 +45,7 @@ class HyperTopology:
 
     @cached_property
     def cols(self) -> tuple[int, ...]:
-        cols = [0] * len(self)
-        for i, row in enumerate(self.rows):
-            for j in bits(row):
-                cols[j] |= 1 << i
-        return tuple(cols)
+        return transpose(self.rows, len(self))
 
     @cached_property
     def open_rows(self) -> int:
@@ -116,14 +112,7 @@ def build_topology(car: HyperCarrier, flavor: str) -> HyperTopology:
         raise ValueError(f"unknown flavor {flavor!r}; expected 'w' or 's'")
     near = car.near
     full_k = (1 << len(car)) - 1
-    rows = []
-    for a in car.elements:
-        row = full_k
-        while a:
-            low = a & -a
-            row &= near[low.bit_length() - 1]
-            a ^= low
-        rows.append(row)
+    rows = [meet_of(near, a, full_k) for a in car.elements]
     if flavor == "s":
         rows = [row & sub for row, sub in zip(rows, car.subsets)]
     return HyperTopology(car, flavor, tuple(rows))
@@ -162,10 +151,7 @@ def min_nbhd_oracle(car: HyperCarrier, flavor: str, a: int) -> int:
 def hyper_closure(top: HyperTopology, s: int) -> int:
     """Closure of a mask of carrier indices: everything whose minimal
     neighborhood meets the set."""
-    cl = 0
-    for j in bits(s):
-        cl |= top.cols[j]
-    return cl
+    return union_of(top.cols, s)
 
 
 def is_dense(top: HyperTopology, s: int) -> bool:
@@ -196,9 +182,8 @@ def identity_continuous_at(
 
 def is_separated_in(top: HyperTopology, i: int) -> bool:
     """True when element i has a neighborhood disjoint from one of every
-    element outside its closure: the elements whose rows meet rows[i],
-    the closure of rows[i], all lie in cols[i]. Costs O(|rows[i]|)."""
-    return not hyper_closure(top, top.rows[i]) & ~top.cols[i]
+    element outside its closure (``finspace.is_separated``). O(|rows[i]|)."""
+    return is_separated(top.rows, top.cols, i)
 
 
 def is_hausdorff(top: HyperTopology) -> bool:
@@ -210,13 +195,7 @@ def is_hausdorff(top: HyperTopology) -> bool:
 def hyper_component(top: HyperTopology, start: int) -> int:
     """Mask of the component of element ``start`` in the symmetric
     minimal-neighborhood adjacency graph: the least clopen set holding it."""
-    seen = frontier = 1 << start
-    while frontier:
-        i = (frontier & -frontier).bit_length() - 1
-        new = (top.rows[i] | top.cols[i]) & ~seen
-        seen |= new
-        frontier = (frontier & (frontier - 1)) | new
-    return seen
+    return component(top.rows, top.cols, start)
 
 
 def is_connected_hyper(top: HyperTopology) -> bool:
@@ -257,13 +236,7 @@ def product_closure(t1: HyperTopology, t2: HyperTopology, rel: tuple[int, ...]) 
     """Closure of a relation in the product: (i, j) is in it when the
     product minimal neighborhood meets ``rel``, that is when row j of t2
     meets the second coordinates paired with some point of row i of t1."""
-    out = []
-    for row in t1.rows:
-        reach = 0
-        for x in bits(row):
-            reach |= rel[x]
-        out.append(hyper_closure(t2, reach))
-    return tuple(out)
+    return tuple(hyper_closure(t2, union_of(rel, row)) for row in t1.rows)
 
 
 def product_is_closed(t1: HyperTopology, t2: HyperTopology, rel: tuple[int, ...]) -> bool:

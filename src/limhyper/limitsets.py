@@ -3,7 +3,8 @@
 A set L is a limit set when every finite family of opens that all meet L
 has a common point. On a finite space the family of all opens meeting L
 is itself such a family, so the criterion collapses to one intersection,
-the AND of the minimal neighborhoods of L's points;
+the AND of the minimal neighborhoods of L's points: each is an open meeting
+L, and every open meeting L at x contains min_nbhd(x);
 ``is_limit_set_oracle`` keeps the literal quantification over subfamilies
 as an independent cross-check.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BudgetExceeded, GroundMismatch, NotInCarrier
-from .finspace import FinTopSpace, _check_subset, bits, closed_sets, set_repr
+from .finspace import FinTopSpace, _check_subset, bits, closed_sets, meet_of, set_repr, transpose, union_of
 
 CARRIER_KINDS = ("F", "Fprime", "L", "Lprime", "ML")
 
@@ -40,19 +41,13 @@ class HyperCarrier:
 
     @cached_property
     def holding(self) -> tuple[int, ...]:
-        """``holding[x]``: mask of the carrier indices whose element holds x."""
-        cols = [0] * self.space.n
-        for i, m in enumerate(self.elements):
-            for x in bits(m):
-                cols[x] |= 1 << i
-        return tuple(cols)
+        """``holding[x]``: mask of the carrier indices whose element holds x,
+        the transpose of the elements."""
+        return transpose(self.elements, self.space.n)
 
     def meeting(self, points: int) -> int:
         """Mask of the carrier indices whose element meets ``points``."""
-        out = 0
-        for x in bits(points):
-            out |= self.holding[x]
-        return out
+        return union_of(self.holding, points)
 
     @cached_property
     def near(self) -> tuple[int, ...]:
@@ -72,13 +67,8 @@ class HyperCarrier:
     def supersets(self) -> tuple[int, ...]:
         """``supersets[i]``: mask of the carrier indices whose element
         contains element i, the elements holding each of its points."""
-        out = []
-        for a in self.elements:
-            row = (1 << len(self.elements)) - 1
-            for x in bits(a):
-                row &= self.holding[x]
-            out.append(row)
-        return tuple(out)
+        full_k = (1 << len(self.elements)) - 1
+        return tuple(meet_of(self.holding, a, full_k) for a in self.elements)
 
     def index(self, mask: int) -> int:
         try:
@@ -90,15 +80,6 @@ class HyperCarrier:
         return len(self.elements)
 
 
-def _meet_of_meeting_opens(space: FinTopSpace, l: int) -> int:
-    # the minimal neighborhood of each point of l is an open meeting l, and
-    # every open meeting l at x contains it, so their AND is the meet
-    meet = space.full
-    for x in bits(l):
-        meet &= space.rows[x]
-    return meet
-
-
 def is_limit_set(space: FinTopSpace, l: int) -> bool:
     """Fast criterion: the opens meeting l must share a point.
 
@@ -107,7 +88,7 @@ def is_limit_set(space: FinTopSpace, l: int) -> bool:
     closed.
     """
     _check_subset(space, l)
-    return _meet_of_meeting_opens(space, l) != 0
+    return meet_of(space.rows, l, space.full) != 0
 
 
 def is_limit_set_oracle(space: FinTopSpace, l: int) -> bool:
@@ -136,7 +117,7 @@ def limit_witness(space: FinTopSpace, l: int) -> int | None:
     witness converges to every point of l.
     """
     _check_subset(space, l)
-    meet = _meet_of_meeting_opens(space, l)
+    meet = meet_of(space.rows, l, space.full)
     if meet == 0:
         return None
     return (meet & -meet).bit_length() - 1
@@ -161,7 +142,7 @@ def carriers(space: FinTopSpace) -> dict[str, HyperCarrier]:
     found so far contains it, as a strict superset lies under one of those.
     """
     closed = closed_sets(space)
-    limits = tuple(c for c in closed if _meet_of_meeting_opens(space, c))
+    limits = tuple(c for c in closed if meet_of(space.rows, c, space.full))
     maximal = []
     for c in reversed(limits):
         if c and all(c & ~d for d in maximal):

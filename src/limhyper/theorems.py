@@ -22,11 +22,13 @@ from .finspace import (
     FinTopSpace,
     bits,
     canonical_key,
+    closure,
     digest,
     enumerate_topologies,
     family_repr,
     is_connected,
     mask_of,
+    meet_of,
     separated_points,
     set_repr,
 )
@@ -505,17 +507,16 @@ def check_conv_props(space, env, max_pre=1, max_cycle=2):
     for a, subs in enumerate(car.subsets):
         by_subsets[subs] = by_subsets.get(subs, 0) | 1 << a
     # nt = near(t): points x whose minimal neighborhood meets term t, i.e.
-    # the limits of constant point sequences drawn from t. The selection
-    # conditions of a cycle hold for the targets A with reach <= A <= good,
-    # reach and good the union and the intersection of near over its
-    # terms; that is the AND over the terms of sel[t], the targets equal
-    # to near(t), which is what ``conv1_conditions`` decides point by point.
-    mins = space.rows
+    # the limits of constant point sequences drawn from t; min_nbhd(x)
+    # meets t exactly when x lies in cl{y} for some y in t, so nt is the
+    # closure of t, closed or not. The selection conditions of a cycle hold
+    # for the targets A with reach <= A <= good, reach and good the union
+    # and the intersection of near over its terms; that is the AND over the
+    # terms of sel[t], the targets equal to near(t), which is what
+    # ``conv1_conditions`` decides point by point.
     for t, m in enumerate(elems):
-        nt = mask_of(x for x in range(space.n) if m & mins[x])
-        sel = full_t & ~car.meeting(space.full & ~nt)
-        for x in bits(nt):
-            sel &= car.holding[x]
+        nt = closure(space, m)
+        sel = meet_of(car.holding, nt, full_t & ~car.meeting(space.full & ~nt))
         fell = ts.cols[t]
         p22 = by_subsets.get(tw.cols[t], 0)
         bad = (fell ^ sel) | (sel ^ p22)

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from limhyper import carriers, enumerate_topologies, parse_space, validate_topology
+from limhyper.finspace import bits
 from limhyper.limitsets import CARRIER_KINDS
 from limhyper.theorems import corrupted_environments
 
@@ -41,6 +42,17 @@ DOC_NAMES = ("discrete7", "discrete8", "chain16", "bipartite10")
 
 def bench_doc_spaces():
     return [parse_space((BENCH_DOCS / f"{name}.json").read_text()).space for name in DOC_NAMES]
+
+
+def loop_transpose(rows, width):
+    """The transpose loop that ``FinTopSpace.closures``,
+    ``HyperTopology.cols`` and ``HyperCarrier.holding`` (over the elements)
+    each carried before they called ``transpose``; kept as their reference."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            cols[j] |= 1 << i
+    return tuple(cols)
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,18 @@
+import itertools
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from limhyper import build_topology, carrier, carriers, cli, is_separated_in, parse_space
+from limhyper import EvPerSeq, ParseError, build_topology, carrier, carriers, cli, is_separated_in, parse_space
 from limhyper.cli import run
 from limhyper.finspace import bits, digest, family_repr, separated_points, set_repr
 from limhyper.hyperspace import FLAVORS
 from limhyper.limitsets import CARRIER_KINDS
+from limhyper.spaceio import parse_point_set
 
 BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
 
@@ -203,3 +206,108 @@ def test_console_entry_point(sierpinski_file):
     )
     assert proc.returncode == 0
     assert "valid" in proc.stdout
+
+
+def test_unreadable_path_is_a_usage_error(tmp_path, capsys):
+    # a directory is an OSError other than FileNotFoundError; exit 1 is
+    # kept for a detected check failure
+    for argv in (
+        ["validate", str(tmp_path)],
+        ["report", str(tmp_path)],
+        ["verify", str(tmp_path)],
+        ["converge", str(tmp_path), "--seq", "pre:[];cyc:[{a}]", "--target", "{a}"],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+def split_parse_seq(spec, labels, closed_elems):
+    """``_parse_seq`` as it split the terms on a '|' sentinel, before it
+    read them as {...} groups; kept as the reference for labels without
+    '|'."""
+    spec = spec.strip()
+    if not spec.startswith("pre:[") or ";cyc:[" not in spec or not spec.endswith("]"):
+        raise ParseError("sequence must look like pre:[{a},...];cyc:[{b},...]")
+    pre_part, cyc_part = spec.split(";cyc:[", 1)
+
+    def parse_terms(body):
+        body = body.strip()
+        if not body:
+            return ()
+        terms = []
+        for piece in body.replace("},", "}|").split("|"):
+            mask = parse_point_set(piece, labels)
+            try:
+                terms.append(closed_elems.index(mask))
+            except ValueError:
+                raise ParseError("not closed") from None
+        return tuple(terms)
+
+    pre = parse_terms(pre_part[len("pre:["):-1])
+    cyc = parse_terms(cyc_part[:-1])
+    if not cyc:
+        raise ParseError("cycle part must be nonempty")
+    return EvPerSeq(pre, cyc)
+
+
+def _seq_outcome(parse, spec, labels, elems):
+    try:
+        return parse(spec, labels, elems)
+    except ParseError:
+        return "ParseError"
+
+
+def test_parse_seq_accepts_what_the_split_parser_accepted():
+    # every cycle body of up to five characters over braces, separators,
+    # spaces and the labels of the discrete two-point space, and random
+    # bodies and preperiods of up to six tokens
+    labels, elems = ("a", "b"), (0, 1, 2, 3)
+    bodies = [""]
+    for length in range(1, 6):
+        bodies += ["".join(p) for p in itertools.product("{},| ab", repeat=length)]
+    rng = random.Random(7)
+    terms = ["{a}", "{b}", "{a,b}", "{ b , a }", "{}"]
+    separators = [",", ", ", ",\t", "|", " | "]
+    noise = ["{", "}", "a", " ,", ",,", " ", "|"]
+    randoms = []
+    for _ in range(4000):
+        pieces = [rng.choice(terms)]
+        for _ in range(rng.randint(0, 3)):
+            pieces += [rng.choice(separators), rng.choice(terms)]
+        if rng.random() < 0.2:
+            pieces.insert(rng.randint(0, len(pieces)), rng.choice(noise))
+        randoms.append(" " * rng.randint(0, 1) + "".join(pieces))
+    specs = [f"pre:[];cyc:[{b}]" for b in bodies] + [f"pre:[{p}];cyc:[{c}]" for p, c in zip(randoms, reversed(randoms))]
+    accepted = 0
+    for spec in specs:
+        want = _seq_outcome(split_parse_seq, spec, labels, elems)
+        assert _seq_outcome(cli._parse_seq, spec, labels, elems) == want, spec
+        accepted += want != "ParseError"
+    assert accepted > 1000
+    for spec in ("pre:[];cyc:[{b}{a}]", "pre:[];cyc:[{a} ,{b}]", "pre:[];cyc:[{a},]", "pre:[];cyc:[{a|b}]"):
+        with pytest.raises(ParseError):
+            cli._parse_seq(spec, labels, elems)
+
+
+BAR_LABELS = '{"points": ["a|b", "c"], "opens": [[], ["a|b"], ["a|b", "c"]]}'
+PLAIN_LABELS = '{"points": ["a", "c"], "opens": [[], ["a"], ["a", "c"]]}'
+
+
+def test_converge_reads_labels_holding_a_bar(tmp_path, capsys):
+    bar, plain = tmp_path / "bar.json", tmp_path / "plain.json"
+    bar.write_text(BAR_LABELS)
+    plain.write_text(PLAIN_LABELS)
+    answers = []
+    for flavor in FLAVORS:
+        for target in ("{}", "{c}", "{a,c}"):
+            for spec in ("pre:[];cyc:[{c},{a,c}]", "pre:[{}];cyc:[{a, c}]", "pre:[{c}];cyc:[{}]"):
+                outcomes = []
+                for path, name in ((bar, "a|b"), (plain, "a")):
+                    argv = ["converge", str(path), "--seq", spec.replace("a", name), "--target", target.replace("a", name)]
+                    outcomes.append((run(argv + ["--topology", flavor]), capsys.readouterr().out))
+                assert outcomes[0] == outcomes[1], (flavor, target, spec)
+                answers.append(outcomes[0])
+    assert {rc for rc, _ in answers} == {0}
+    assert {out for _, out in answers} == {"limit: yes\n", "limit: no\n"}

@@ -1,10 +1,11 @@
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bench_doc_spaces
+from conftest import bench_doc_spaces, loop_transpose
 from limhyper import (
     AxiomViolation,
     BudgetExceeded,
@@ -27,9 +28,15 @@ from limhyper.finspace import (
     _space_from_rows,
     bits,
     canonical_key,
+    component,
     digest,
     full_mask,
+    is_separated,
+    mask_of,
+    meet_of,
     set_repr,
+    transpose,
+    union_of,
 )
 
 BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
@@ -82,6 +89,37 @@ def separated_oracle(space):
 def spaces_upto(n_max):
     for n in range(n_max + 1):
         yield from enumerate_topologies(n)
+
+
+# ------------------------------------------- replaced bodies, as references
+
+def open_scan_closure(space, s):
+    """``closure``'s former body: the complement of the union of every open
+    disjoint from s, the largest open avoiding it."""
+    avoid = 0
+    for u in space.opens:
+        if not u & s:
+            avoid |= u
+    return space.full & ~avoid
+
+
+def clopen_scan_is_connected(space):
+    """``is_connected``'s former body: no open other than the empty set and
+    the ground set has an open complement."""
+    fam = set(space.opens)
+    full = space.full
+    return not any(u not in (0, full) and (full ^ u) in fam for u in space.opens)
+
+
+def pairwise_separated_points(space):
+    """``separated_points``' former body: y is separated when its minimal
+    neighborhood misses that of every z outside cl{y}, one z at a time."""
+    mins = space.rows
+    out = 0
+    for y, cl in enumerate(loop_transpose(mins, space.n)):
+        if all(not mins[y] & mins[z] for z in bits(space.full & ~cl)):
+            out |= 1 << y
+    return out
 
 
 preorder_pairs = st.integers(1, 4).flatmap(
@@ -289,12 +327,78 @@ def test_separated_points_examples(sierpinski, three_point, discrete2):
 
 def test_closures_match_closure_of_each_point():
     for space in [*spaces_upto(5), *bench_doc_spaces()]:
-        assert space.closures == tuple(closure(space, 1 << x) for x in range(space.n))
+        assert space.closures == loop_transpose(space.rows, space.n)
+        assert space.closures == tuple(open_scan_closure(space, 1 << x) for x in range(space.n))
 
 
 def test_separated_points_matches_oracle():
     for space in spaces_upto(3):
         assert separated_points(space) == separated_oracle(space)
+
+
+def test_closure_matches_open_scan():
+    # every subset with n <= 4; every singleton and closed set with n = 5
+    # and in the four benchmark documents
+    for space in spaces_upto(4):
+        for s in range(space.full + 1):
+            assert closure(space, s) == open_scan_closure(space, s), (space, s)
+    for space in [*enumerate_topologies(5), *bench_doc_spaces()]:
+        for s in {1 << x for x in range(space.n)} | set(closed_sets(space)):
+            assert closure(space, s) == open_scan_closure(space, s), (space, s)
+
+
+def test_closure_rejects_sets_outside_the_ground_set(sierpinski):
+    for s in (0b100, -1):
+        with pytest.raises(GroundMismatch):
+            closure(sierpinski, s)
+
+
+def test_connected_and_separated_match_their_scans():
+    # every space with n <= 5, n = 0 included, and the four documents
+    for space in [*spaces_upto(5), *bench_doc_spaces()]:
+        assert is_connected(space) == clopen_scan_is_connected(space), space
+        assert separated_points(space) == pairwise_separated_points(space), space
+
+
+def random_table(rng, k):
+    """k row masks on k indices at a random density: mostly neither
+    reflexive nor transitive, like mining's cyclic tables."""
+    p = rng.random()
+    return tuple(mask_of(j for j in range(k) if rng.random() < p) for _ in range(k))
+
+
+def test_table_operations_match_naive_loops():
+    rng = random.Random(2013)
+    for _ in range(1500):
+        width = rng.randint(0, 8)
+        rows = tuple(rng.getrandbits(width) for _ in range(rng.randint(0, 8)))
+        assert transpose(rows, width) == tuple(
+            mask_of(i for i, row in enumerate(rows) if (row >> j) & 1) for j in range(width)
+        )
+
+        k = rng.randint(0, 7)
+        rows = random_table(rng, k)
+        cols = loop_transpose(rows, k)
+        start = rng.getrandbits(k + 1)
+        for mask in range(1 << k):
+            picked = [rows[i] for i in range(k) if (mask >> i) & 1]
+            union, meet = 0, start
+            for row in picked:
+                union |= row
+                meet &= row
+            assert union_of(rows, mask) == union
+            assert meet_of(rows, mask, start) == meet
+        for i in range(k):
+            reached, stack = {i}, [i]
+            while stack:
+                a = stack.pop()
+                for b in range(k):
+                    if b not in reached and ((rows[a] >> b) & 1 or (rows[b] >> a) & 1):
+                        reached.add(b)
+                        stack.append(b)
+            assert component(rows, cols, i) == mask_of(reached), (rows, i)
+            outside = [z for z in range(k) if not (rows[z] >> i) & 1]
+            assert is_separated(rows, cols, i) == all(not rows[i] & rows[z] for z in outside), (rows, i)
 
 
 # ----------------------------------------------------------- preorder side

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import loop_transpose
 from limhyper import (
     EvPerSeq,
     HyperCarrier,
@@ -123,6 +124,20 @@ def test_build_topology_and_inclusion_relation_match_reference_bodies(carrier_co
         for flavor in FLAVORS:
             assert build_topology(car, flavor).rows == reference_build_topology(car, flavor), (car, flavor)
         assert inclusion_relation(car) == reference_inclusion_relation(car), car
+
+
+def test_cols_and_holding_match_the_transpose_loop(carrier_corpus):
+    # every corpus carrier and both its tables, and every table of every
+    # corrupted environment with n <= 4, the cyclic ones included
+    tables = [build_topology(car, flavor) for car in carrier_corpus for flavor in FLAVORS]
+    for space in spaces_upto(4):
+        for _, factory in corrupted_environments(space):
+            env = factory()
+            tables += [env.topology(kind, flavor) for kind in CARRIER_KINDS for flavor in FLAVORS]
+    for car in carrier_corpus:
+        assert car.holding == loop_transpose(car.elements, car.space.n)
+    for t in tables:
+        assert t.cols == loop_transpose(t.rows, len(t)), (t.carrier.kind, t.flavor, t.rows)
 
 
 def test_build_topology_matches_oracle_on_corrupted_carriers():

@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import bench_doc_spaces
 from limhyper import (
     BudgetExceeded,
     EvPerSeq,
     NotOpen,
     carrier,
+    closure,
     conv1_conditions,
     enumerate_topologies,
     hyper_closure,
@@ -703,6 +705,25 @@ def test_conv_props_single_terms_match_per_set_loop():
     assert set(statuses) == {PROXY, FAIL}
 
 
+def point_scan_closure(space, m):
+    """The points whose minimal neighborhood meets m, one point at a time:
+    how ``check_conv_props`` took each term's closure before it called
+    ``closure``; kept as the reference."""
+    return mask_of(x for x in range(space.n) if m & space.rows[x])
+
+
+def test_term_closure_matches_point_scan():
+    # every subset with n <= 5, n = 0 and the non-closed sets that mining
+    # injects included, and every singleton and closed set of the documents
+    for n in range(6):
+        for space in enumerate_topologies(n):
+            for m in range(space.full + 1):
+                assert closure(space, m) == point_scan_closure(space, m), (space, m)
+    for space in bench_doc_spaces():
+        for m in {1 << x for x in range(space.n)} | set(carrier(space, "F").elements):
+            assert closure(space, m) == point_scan_closure(space, m), (space, m)
+
+
 def per_term_selection(space, car):
     """One selection mask per F-carrier term, in the reach/good form of
     ``per_cycle_conv_props`` for a cycle of that term alone: the targets A
@@ -711,7 +732,7 @@ def per_term_selection(space, car):
     full_t = (1 << len(car)) - 1
     sel = []
     for m in car.elements:
-        near = mask_of(x for x in range(space.n) if m & space.rows[x])
+        near = point_scan_closure(space, m)
         conds = full_t
         for x in bits(near):
             conds &= car.holding[x]
