@@ -21,9 +21,13 @@ from .theorems import FAIL, sweep, verify_all
 
 # A term is a {label,...} group, separated from the next by a comma or a
 # '|'. Labels hold no braces, so the groups are found before the labels are
-# read, and a label may contain '|'.
+# read, and a label may contain '|', ';', '[' or ']'. A body is read as
+# whole groups and characters outside them other than ']', so the
+# ';cyc:[' that ends the preperiod is the one outside every group.
 _TERM = r"\{[^{}]*\}"
 _TERMS = re.compile(rf"{_TERM}(?:(?:,\s*|\s*\|\s*){_TERM})*")
+_BODY = rf"((?:{_TERM}|[^{{}}\]])*)"
+_SEQ = re.compile(rf"pre:\[{_BODY}\];cyc:\[{_BODY}\]")
 
 
 def _load(path: str) -> LabeledSpace:
@@ -87,12 +91,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _parse_seq(spec: str, labels, closed_elems) -> EvPerSeq:
-    spec = spec.strip()
-    if not spec.startswith("pre:[") or ";cyc:[" not in spec or not spec.endswith("]"):
+    match = _SEQ.fullmatch(spec.strip())
+    if not match:
         raise ParseError("sequence must look like pre:[{a},...];cyc:[{b},...]")
-    pre_part, cyc_part = spec.split(";cyc:[", 1)
-    pre_body = pre_part[len("pre:["):-1]
-    cyc_body = cyc_part[:-1]
 
     def parse_terms(body: str) -> tuple[int, ...]:
         body = body.strip()
@@ -111,8 +112,7 @@ def _parse_seq(spec: str, labels, closed_elems) -> EvPerSeq:
                 ) from None
         return tuple(terms)
 
-    pre = parse_terms(pre_body)
-    cyc = parse_terms(cyc_body)
+    pre, cyc = map(parse_terms, match.groups())
     if not cyc:
         raise ParseError("cycle part must be nonempty")
     return EvPerSeq(pre, cyc)

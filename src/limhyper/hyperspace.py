@@ -162,22 +162,14 @@ def is_closed_sub(top: HyperTopology, s: int) -> bool:
     return hyper_closure(top, s) == s
 
 
-def identity_continuous_at(
-    space: FinTopSpace,
-    a: int,
-    topologies: tuple[HyperTopology, HyperTopology] | None = None,
-) -> bool:
+def identity_continuous_at(space: FinTopSpace, a: int) -> bool:
     """Continuity at ``a`` of the identity map from (L(X), tau_w) to
     (L(X), tau_s): the tau_w minimal neighborhood must already fit inside
-    the tau_s one. Prebuilt (tau_w, tau_s) tables over L may be passed to
-    avoid rebuilding them per query.
+    the tau_s one.
     """
-    if topologies is None:
-        car = build_carrier(space, "L")
-        topologies = (build_topology(car, "w"), build_topology(car, "s"))
-    tw, ts = topologies
-    idx = tw.carrier.index(a)
-    return not tw.rows[idx] & ~ts.rows[idx]
+    car = build_carrier(space, "L")
+    i = car.index(a)
+    return not build_topology(car, "w").rows[i] & ~build_topology(car, "s").rows[i]
 
 
 def is_separated_in(top: HyperTopology, i: int) -> bool:

@@ -143,17 +143,21 @@ def parse_report(text: str) -> VerificationReport:
     if doc.get("schema") != REPORT_SCHEMA:
         raise ParseError(f"unsupported report schema {doc.get('schema')!r}")
     try:
-        labels = tuple(doc["space"]["points"])
-        results = tuple(
-            CheckResult(
-                entry["check_id"],
-                entry["status"],
-                tuple((k, v) for k, v in entry.get("witness", {}).items()),
-                entry.get("notes", ""),
-            )
-            for entry in doc["checks"]
-        )
-        return VerificationReport(doc["space"]["digest"], len(labels), labels, results)
+        points, digest = doc["space"]["points"], doc["space"]["digest"]
+        if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+            raise ParseError("'points' must be a list of string labels")
+        if not isinstance(digest, str):
+            raise ParseError("'digest' must be a string")
+        results = []
+        for entry in doc["checks"]:
+            witness = tuple(entry.get("witness", {}).items())
+            result = CheckResult(entry["check_id"], entry["status"], witness, entry.get("notes", ""))
+            fields = (result.check_id, result.status, result.notes, *(s for pair in witness for s in pair))
+            if not all(isinstance(f, str) for f in fields):
+                raise ParseError("check ids, statuses, notes and witness keys and values must be strings")
+            results.append(result)
+        labels = tuple(points)
+        return VerificationReport(digest, len(labels), labels, tuple(results))
     except KeyError as exc:
         raise ParseError(f"report is missing the field {exc}") from None
     except (TypeError, AttributeError):

@@ -28,7 +28,6 @@ from .finspace import (
     family_repr,
     is_connected,
     mask_of,
-    meet_of,
     separated_points,
     set_repr,
 )
@@ -38,7 +37,6 @@ from .hyperspace import (
     build_topology,
     hyper_closure,
     hyper_component,
-    identity_continuous_at,
     inclusion_relation,
     is_closed_sub,
     is_compact_cover,
@@ -116,11 +114,11 @@ class CheckEnv:
 
 def check_closure_singleton(space, env):
     """The closure of one closed set in the lower topology on F(X) must be
-    exactly its closed subsets."""
+    exactly its closed subsets: the closure of element i is the column
+    ``cols[i]``, and its closed subsets are ``car.subsets[i]``."""
     t = env.topology("F", "w")
     car = t.carrier
-    for i, (a, expected) in enumerate(zip(car.elements, car.subsets)):
-        got = hyper_closure(t, 1 << i)
+    for a, got, expected in zip(car.elements, t.cols, car.subsets):
         if got != expected:
             return CheckResult(
                 "check_closure_singleton",
@@ -187,7 +185,8 @@ def _ml_inside_l(env):
 
 def check_cont_iff_maximal(space, env):
     """Identity map from (L, tau_w) to (L, tau_s) is continuous exactly at
-    the maximal limit sets, and the two topologies agree on ML."""
+    the maximal limit sets, and the two topologies agree on ML. The map is
+    continuous at element i when its tau_w row lies inside its tau_s row."""
     cid = "check_cont_iff_maximal"
     lcar = env.carrier("L")
     tw = env.topology("L", "w")
@@ -196,7 +195,7 @@ def check_cont_iff_maximal(space, env):
     if bad:
         return CheckResult(cid, FAIL, witness=bad)
     for i, a in enumerate(lcar.elements):
-        cont = identity_continuous_at(space, a, topologies=(tw, ts))
+        cont = not tw.rows[i] & ~ts.rows[i]
         if cont != bool((ml >> i) & 1):
             return CheckResult(
                 cid,
@@ -268,17 +267,16 @@ def check_connectedness(space, env):
     return CheckResult(cid, PASS, notes=notes)
 
 
-def check_compactness_lemma(space, env, families=None):
+def check_compactness_lemma(space, env):
     """The set of closed sets hitting each member of a finite family is
     compact in (F, tau_w). Finite carriers make this automatic; the
-    check still runs the generic subcover search over a basis cover."""
+    check still runs the generic subcover search over a basis cover, for
+    the empty family, each singleton and the family of all singletons."""
     cid = "check_compactness_lemma"
     t = env.topology("F", "w")
-    if families is None:
-        families = [()]
-        families += [(1 << x,) for x in range(space.n)]
-        if space.n:
-            families.append(tuple(1 << x for x in range(space.n)))
+    families = [()] + [(1 << x,) for x in range(space.n)]
+    if space.n:
+        families.append(tuple(1 << x for x in range(space.n)))
     for fam in families:
         s = (1 << len(t)) - 1
         for c in fam:
@@ -477,16 +475,24 @@ def check_conv_props(space, env, max_pre=1, max_cycle=2):
     equal to the closed subsets of A.
 
     Single cycle terms decide every sequence, for all targets at once as
-    bitmasks over carrier indices. For a set T of cycle terms, the Fell
-    limits are the AND of ``cols_s[t]`` over T and the selection conditions
-    the AND of ``sel[t]``; the primitive side is the ``by_subsets`` entry
-    of the terms' common ``cols_w[t]``, or empty when those differ. So if
-    every term t has ``cols_s[t] == sel[t] == by_subsets.get(cols_w[t], 0)``,
-    every T agrees: the first two are ANDs of equal masks, and where the
-    ``cols_w[t]`` differ, the selection conditions AND the entries of two
-    distinct keys, which are disjoint because ``by_subsets`` partitions the
-    targets. ``sel`` and ``by_subsets`` depend on the space and the carrier
-    only, so this holds on any table, corrupted ones included. The
+    bitmasks over carrier indices. The selection conditions of a cycle
+    hold for the targets A with reach <= A <= good, reach and good the
+    union and the intersection over its terms t of near(t), the points
+    whose minimal neighborhood meets t; near(t) is the closure of t, closed
+    or not, and ``conv1_conditions`` decides the same point by point. So
+    they are the AND over the terms of ``sel[t]``, the bit of the target
+    equal to the closure of t, or 0 when the carrier lacks it. The Fell
+    limits are the AND of ``cols_s[t]``, and the primitive side is the
+    targets whose closed subsets are the terms' common ``cols_w[t]``, or
+    none when those differ. Distinct elements have distinct ``subsets``
+    masks (``subsets[i]`` holds i, and lies inside ``subsets[j]`` only when
+    element i lies inside element j), so that is one target at most. Term
+    t passes when all three are one target j: ``cols_s[t] == 1 << j`` and
+    ``cols_w[t] == subsets[j]``. If every term passes, every set of terms
+    agrees: the first two are ANDs of the same single bits, and the
+    ``cols_w[t] == subsets[j_t]`` differ exactly when the j_t do, where
+    those ANDs are 0. ``sel`` and ``subsets`` depend on the space and the
+    carrier only, so this holds on any table, corrupted ones included. The
     one-term cycles come first among the ordered cycles, so the first
     failing term is the first failing cycle. Convergence is a tail
     property, so no preperiod changes a verdict either: ``max_pre`` and
@@ -501,24 +507,18 @@ def check_conv_props(space, env, max_pre=1, max_cycle=2):
     if k == 0:
         return CheckResult(cid, PROXY, notes="empty carrier")
 
-    full_t = (1 << k) - 1
-    # targets keyed by their closed subsets, as a mask of carrier indices
-    by_subsets: dict[int, int] = {}
-    for a, subs in enumerate(car.subsets):
-        by_subsets[subs] = by_subsets.get(subs, 0) | 1 << a
-    # nt = near(t): points x whose minimal neighborhood meets term t, i.e.
-    # the limits of constant point sequences drawn from t; min_nbhd(x)
-    # meets t exactly when x lies in cl{y} for some y in t, so nt is the
-    # closure of t, closed or not. The selection conditions of a cycle hold
-    # for the targets A with reach <= A <= good, reach and good the union
-    # and the intersection of near over its terms; that is the AND over the
-    # terms of sel[t], the targets equal to near(t), which is what
-    # ``conv1_conditions`` decides point by point.
     for t, m in enumerate(elems):
-        nt = closure(space, m)
-        sel = meet_of(car.holding, nt, full_t & ~car.meeting(space.full & ~nt))
-        fell = ts.cols[t]
-        p22 = by_subsets.get(tw.cols[t], 0)
+        fell, lower = ts.cols[t], tw.cols[t]
+        try:
+            j = car.index(closure(space, m))
+        except NotInCarrier:
+            sel = 0
+        else:
+            if fell == 1 << j and lower == car.subsets[j]:
+                continue
+            sel = 1 << j
+        # a failing term: every target whose closed subsets are cols_w[t]
+        p22 = mask_of(a for a, subs in enumerate(car.subsets) if subs == lower)
         bad = (fell ^ sel) | (sel ^ p22)
         if bad:
             a = (bad & -bad).bit_length() - 1
@@ -662,8 +662,8 @@ def _cyclic_topology(car: HyperCarrier, flavor) -> HyperTopology | None:
 
 
 def corrupted_environments(space: FinTopSpace):
-    """Yield (description, env_factory) pairs with deliberately broken
-    carriers or neighborhood tables, for expect-fail exploration.
+    """Yield (description, env) pairs with deliberately broken carriers or
+    neighborhood tables, for expect-fail exploration.
 
     The space's five honest carriers and ten honest tables are built once
     and shared by every environment: a corrupted carrier drops its two
@@ -674,10 +674,10 @@ def corrupted_environments(space: FinTopSpace):
 
     def with_carrier(car):
         others = {key: t for key, t in tables.items() if key[0] != car.kind}
-        return lambda: CheckEnv(space, carriers={**carriers, car.kind: car}, topologies=others)
+        return CheckEnv(space, carriers={**carriers, car.kind: car}, topologies=others)
 
     def with_table(t):
-        return lambda: CheckEnv(space, carriers=carriers, topologies={**tables, (t.carrier.kind, t.flavor): t})
+        return CheckEnv(space, carriers=carriers, topologies={**tables, (t.carrier.kind, t.flavor): t})
 
     closed = set(carriers["F"].elements)
     all_subsets = sorted(range(space.full + 1), key=canonical_key)
@@ -727,19 +727,16 @@ def corrupted_environments(space: FinTopSpace):
     )
 
 
-def mine_check_failures(space: FinTopSpace, check_ids=None) -> dict[str, MiningHit]:
+def mine_check_failures(space: FinTopSpace) -> dict[str, MiningHit]:
     """Expect-fail exploration: corrupt the structures and record, per
     check, the first corruption it detects. Proves the suite is
     non-vacuous. The checks of one corruption share its environment: they
     only fill its caches of carriers and tables, which are deterministic."""
-    if check_ids is None:
-        check_ids = tuple(CHECKS)
     found: dict[str, MiningHit] = {}
-    for description, factory in corrupted_environments(space):
-        remaining = [cid for cid in check_ids if cid not in found]
+    for description, env in corrupted_environments(space):
+        remaining = [cid for cid in CHECKS if cid not in found]
         if not remaining:
             break
-        env = factory()
         for cid in remaining:
             result = run_check(cid, space, env)
             if result.status == FAIL:

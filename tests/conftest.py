@@ -66,8 +66,7 @@ def carrier_corpus():
     cars = [car for space in spaces for car in carriers(space).values()]
     seen = {(car.space, car.kind, car.elements) for car in cars}
     for space in (s for n in range(5) for s in enumerate_topologies(n)):
-        for _, factory in corrupted_environments(space):
-            env = factory()
+        for _, env in corrupted_environments(space):
             for kind in CARRIER_KINDS:
                 car = env.carrier(kind)
                 key = (space, kind, car.elements)

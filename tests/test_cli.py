@@ -286,7 +286,16 @@ def test_parse_seq_accepts_what_the_split_parser_accepted():
         assert _seq_outcome(cli._parse_seq, spec, labels, elems) == want, spec
         accepted += want != "ParseError"
     assert accepted > 1000
-    for spec in ("pre:[];cyc:[{b}{a}]", "pre:[];cyc:[{a} ,{b}]", "pre:[];cyc:[{a},]", "pre:[];cyc:[{a|b}]"):
+    # the last two lack the ']' closing the preperiod; the split parser
+    # dropped the preperiod's last character unread and accepted them
+    for spec in (
+        "pre:[];cyc:[{b}{a}]",
+        "pre:[];cyc:[{a} ,{b}]",
+        "pre:[];cyc:[{a},]",
+        "pre:[];cyc:[{a|b}]",
+        "pre:[{a}x;cyc:[{b}]",
+        "pre:[;cyc:[{a}]",
+    ):
         with pytest.raises(ParseError):
             cli._parse_seq(spec, labels, elems)
 
@@ -311,3 +320,17 @@ def test_converge_reads_labels_holding_a_bar(tmp_path, capsys):
                 answers.append(outcomes[0])
     assert {rc for rc, _ in answers} == {0}
     assert {out for _, out in answers} == {"limit: yes\n", "limit: no\n"}
+
+
+def test_converge_reads_a_label_holding_the_cycle_marker(tmp_path, capsys):
+    # ';cyc:[' inside a {...} group is part of a label, not the start of
+    # the cycle part
+    marked, plain = tmp_path / "marked.json", tmp_path / "plain.json"
+    marked.write_text('{"points": ["x;cyc:[y", "c"], "opens": [[], ["x;cyc:[y"], ["c"], ["x;cyc:[y", "c"]]}')
+    plain.write_text('{"points": ["x", "c"], "opens": [[], ["x"], ["c"], ["x", "c"]]}')
+    outcomes = []
+    for path, name in ((marked, "x;cyc:[y"), (plain, "x")):
+        argv = ["converge", str(path), "--seq", f"pre:[{{{name}}}];cyc:[{{c}}]", "--target", "{c}"]
+        outcomes.append((run(argv), capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and outcomes[0][1].out == "limit: yes\n" and outcomes[0][1].err == ""

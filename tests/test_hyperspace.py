@@ -131,8 +131,7 @@ def test_cols_and_holding_match_the_transpose_loop(carrier_corpus):
     # corrupted environment with n <= 4, the cyclic ones included
     tables = [build_topology(car, flavor) for car in carrier_corpus for flavor in FLAVORS]
     for space in spaces_upto(4):
-        for _, factory in corrupted_environments(space):
-            env = factory()
+        for _, env in corrupted_environments(space):
             tables += [env.topology(kind, flavor) for kind in CARRIER_KINDS for flavor in FLAVORS]
     for car in carrier_corpus:
         assert car.holding == loop_transpose(car.elements, car.space.n)
@@ -146,8 +145,7 @@ def test_build_topology_matches_oracle_on_corrupted_carriers():
     # any family of subsets, not only for honest carriers
     built = 0
     for space in spaces_upto(3):
-        for _, factory in corrupted_environments(space):
-            env = factory()
+        for _, env in corrupted_environments(space):
             for kind in CARRIER_KINDS:
                 car = env.carrier(kind)
                 if car.elements == carrier(space, kind).elements:
@@ -203,7 +201,7 @@ def test_min_nbhd_oracle_matches_subfamily_enumeration():
     # over a minute
     compared = 0
     for space in spaces_upto(3):
-        for env in [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]:
+        for env in [CheckEnv(space)] + [env for _, env in corrupted_environments(space)]:
             for kind in CARRIER_KINDS:
                 car = env.carrier(kind)
                 for flavor in ("w", "s"):
@@ -311,7 +309,7 @@ def test_is_separated_in_matches_pairwise_definition():
     ]
     envs = [CheckEnv(space) for space in [*spaces_upto(4), *docs]]
     for space in spaces_upto(4):
-        envs += [factory() for _, factory in corrupted_environments(space)]
+        envs += [env for _, env in corrupted_environments(space)]
     tables = [env.topology(kind, flavor) for env in envs for kind in CARRIER_KINDS for flavor in FLAVORS]
     car3 = carrier(validate_topology(2, [0, 1, 3]), "F")
     tables += [HyperTopology(car3, "w", rows) for rows in itertools.product(range(8), repeat=3)]
@@ -405,7 +403,7 @@ def test_compact_cover_by_row_index_matches_member_wise_search():
     rng = random.Random(5)
     tables = {}
     for space in spaces_upto(3):
-        for env in [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]:
+        for env in [CheckEnv(space)] + [env for _, env in corrupted_environments(space)]:
             for kind in CARRIER_KINDS:
                 for flavor in ("w", "s"):
                     t = env.topology(kind, flavor)
@@ -534,7 +532,7 @@ def test_exact_product_check_matches_enumeration():
     # the verdict depends only on the table and the inclusion relation
     tables = {}
     for space in spaces_upto(3, start=1):
-        envs = [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]
+        envs = [CheckEnv(space)] + [env for _, env in corrupted_environments(space)]
         cyclic = _cyclic_topology(carrier(space, "L"), "s")
         if cyclic is not None:
             envs.append(CheckEnv(space, topologies={("L", "s"): cyclic}))
@@ -560,7 +558,7 @@ def test_inclusion_witness_is_first_pair_in_closure_only():
     # neighborhoods, on every honest and corrupted environment with n <= 3
     witnessed = 0
     for space in spaces_upto(3, start=1):
-        for env in [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]:
+        for env in [CheckEnv(space)] + [env for _, env in corrupted_environments(space)]:
             result = run_check("check_product_structure", space, env)
             if [key for key, _ in result.witness] != ["pair_in_closure_only"]:
                 continue

@@ -101,6 +101,22 @@ def test_parse_report_rejects_malformed_structure(sierpinski):
         parse_report(json.dumps(no_check_id))
 
 
+
+def test_parse_report_rejects_fields_that_are_not_strings(sierpinski):
+    doc = json.loads(emit_report(verify_all(sierpinski, labels=("a", "b")), "json"))
+    bad_docs = [
+        dict(doc, space=dict(doc["space"], points="ab")),
+        dict(doc, space=dict(doc["space"], points=["a", 2])),
+        dict(doc, space=dict(doc["space"], digest=5)),
+        dict(doc, checks=[{"check_id": 3, "status": None}]),
+        dict(doc, checks=[{"check_id": "check_baire", "status": "pass", "notes": 1}]),
+        dict(doc, checks=[{"check_id": "check_baire", "status": "fail", "witness": {"carrier": ["L"]}}]),
+    ]
+    for bad in bad_docs:
+        with pytest.raises(ParseError, match="must be"):
+            parse_report(json.dumps(bad))
+
+
 def test_emit_is_deterministic(three_point):
     a = emit_report(verify_all(three_point), "json")
     b = emit_report(verify_all(three_point), "json")
@@ -110,7 +126,7 @@ def test_emit_is_deterministic(three_point):
 def test_witnesses_render_with_labels(sierpinski):
     from limhyper import mine_check_failures
 
-    hit = mine_check_failures(sierpinski, check_ids=("check_closure_singleton",))
+    hit = mine_check_failures(sierpinski)
     result = hit["check_closure_singleton"].result
     rendered = dict(result.witness)
     for value in rendered.values():

@@ -34,3 +34,24 @@ def test_library_imports_no_random_module():
             if any(name.split(".")[0] == "random" for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_library_imports_only_names_it_uses():
+    # a name imported and never read is dead weight left by a deletion;
+    # __init__.py imports its exports, and __future__ imports are flags
+    modules = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+    assert "theorems.py" in [path.name for path in modules]
+    offenders = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert offenders == []

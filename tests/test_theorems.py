@@ -24,7 +24,7 @@ from limhyper import (
     verify_all,
 )
 from limhyper import FinTopSpace, HyperCarrier, HyperTopology, S_of, theorems
-from limhyper.finspace import bits, canonical_key, mask_of
+from limhyper.finspace import bits, canonical_key, mask_of, meet_of
 from limhyper.hyperspace import FLAVORS, build_topology
 from limhyper.limitsets import CARRIER_KINDS
 from limhyper.spaceio import parse_point_set
@@ -102,11 +102,6 @@ def test_checks_are_deterministic(three_point):
     second = verify_all(three_point)
     assert first.results == second.results
     assert first.space_digest == second.space_digest
-
-
-def test_compactness_lemma_accepts_explicit_families(three_point):
-    r = run_check("check_compactness_lemma", three_point, families=[(0b100, 0b011)])
-    assert r.status == TRIVIALLY_TRUE
 
 
 def test_conv_props_counts_long_cycles_without_walking_them(sierpinski):
@@ -222,10 +217,9 @@ def test_mined_witness_self_validates(sierpinski):
     # re-evaluate a mined closure-singleton witness through public operations
     from limhyper import hyper_closure
 
-    found = mine_check_failures(sierpinski, check_ids=("check_closure_singleton",))
-    hit = found["check_closure_singleton"]
+    hit = mine_check_failures(sierpinski)["check_closure_singleton"]
     witness = dict(hit.result.witness)
-    env = dict(corrupted_environments(sierpinski))[hit.description]()
+    env = dict(corrupted_environments(sierpinski))[hit.description]
     t = env.topology("F", "w")
     elem = parse_point_set(witness["element"], hit.labels)
     i = t.carrier.index(elem)
@@ -236,12 +230,10 @@ def test_mined_witness_self_validates(sierpinski):
 
 def test_mining_covers_gdelta_flip(sierpinski_plus_isolated):
     # a corrupted maximal-limit family over the two-component space flips
-    # at least one of the embedding checks
-    found = mine_check_failures(
-        sierpinski_plus_isolated,
-        check_ids=("check_gdelta_ML", "check_cont_iff_maximal"),
-    )
-    assert found
+    # both embedding checks
+    found = mine_check_failures(sierpinski_plus_isolated)
+    for cid in ("check_gdelta_ML", "check_cont_iff_maximal"):
+        assert found[cid].result.status == FAIL
 
 
 # what each corruption replaces: a carrier kind, or a (kind, flavor) table
@@ -271,8 +263,7 @@ def test_shared_honest_structures_stay_in_their_environments():
         honest = {kind: carrier(space, kind) for kind in CARRIER_KINDS}
         envs = []
         shared = {}
-        for description, factory in corrupted_environments(space):
-            env = factory()
+        for description, env in corrupted_environments(space):
             replaced = CORRUPTED[description]
             for kind in CARRIER_KINDS:
                 assert (env.carrier(kind) == honest[kind]) == (kind != replaced), (description, kind)
@@ -350,7 +341,7 @@ def test_conv_props_mining_witnesses_are_golden(
         "sierpinski_plus_isolated": sierpinski_plus_isolated,
     }
     for name, space in spaces.items():
-        hit = mine_check_failures(space, check_ids=("check_conv_props",))["check_conv_props"]
+        hit = mine_check_failures(space)["check_conv_props"]
         assert (hit.description, hit.result.witness) == GOLDEN_CONV_MINING[name], name
 
 
@@ -394,7 +385,7 @@ def test_exact_baire_matches_dense_open_enumeration():
     exact = rejected = 0
     for n in range(1, 5):
         for space in enumerate_topologies(n):
-            for env in [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]:
+            for env in [CheckEnv(space)] + [env for _, env in corrupted_environments(space)]:
                 for kind in ("L", "Lprime", "ML"):
                     t = env.topology(kind, "w")
                     if _not_a_topology_at(t) is None:
@@ -455,7 +446,7 @@ def test_local_compactness_matches_per_open_construction():
     seen = set()
     statuses = []
     for space in spaces:
-        for env in [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]:
+        for env in [CheckEnv(space)] + [env for _, env in corrupted_environments(space)]:
             tables = [env.topology(kind, "w") for kind in ("F", "Fprime", "L", "Lprime")]
             key = (space, tuple((t.carrier.elements, t.rows) for t in tables))
             if key in seen:
@@ -613,7 +604,7 @@ def test_conv_props_per_set_matches_per_cycle_loop():
     failures = 0
     for n in range(4):
         for space in enumerate_topologies(n):
-            envs = [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]
+            envs = [CheckEnv(space)] + [env for _, env in corrupted_environments(space)]
             for env in envs:
                 for max_pre, max_cycle in ((1, 2), (0, 1), (2, 3)):
                     got = check_conv_props(space, env, max_pre=max_pre, max_cycle=max_cycle)
@@ -696,13 +687,44 @@ def test_conv_props_single_terms_match_per_set_loop():
     statuses = []
     for space in spaces:
         budgets = ((0, 1), (1, 2), (2, 3)) if space.n <= 4 else ((0, 1), (1, 2))
-        for env in [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]:
+        for env in [CheckEnv(space)] + [env for _, env in corrupted_environments(space)]:
             for max_pre, max_cycle in budgets:
                 got = check_conv_props(space, env, max_pre=max_pre, max_cycle=max_cycle)
                 want = per_set_conv_props(space, env, max_pre=max_pre, max_cycle=max_cycle)
                 assert (got.status, got.witness, got.notes) == (want.status, want.witness, want.notes)
                 statuses.append(got.status)
     assert set(statuses) == {PROXY, FAIL}
+
+
+def selection_fold(car, m):
+    """The selection mask of term m as ``check_conv_props`` folded it
+    before it read the index of m's closure: the elements that hold every
+    point of the closure and miss every point outside it."""
+    space = car.space
+    nt = closure(space, m)
+    return meet_of(car.holding, nt, ((1 << len(car)) - 1) & ~car.meeting(space.full & ~nt))
+
+
+def test_selection_fold_is_the_bit_of_the_term_closure(carrier_corpus):
+    # every F carrier of the corpus, honest and corrupted: the selection
+    # conditions of a term hold at its closure only, or nowhere when the
+    # carrier lacks the closure
+    terms = 0
+    for car in carrier_corpus:
+        if car.kind != "F":
+            continue
+        for m in car.elements:
+            nt = closure(car.space, m)
+            want = 1 << car.elements.index(nt) if nt in car.elements else 0
+            assert selection_fold(car, m) == want, (car, m)
+            terms += 1
+    assert terms > 70000
+
+
+def test_carrier_elements_have_distinct_subsets_masks(carrier_corpus):
+    # what makes the primitive side of a term one target at most
+    for car in carrier_corpus:
+        assert len(set(car.subsets)) == len(car), car
 
 
 def point_scan_closure(space, m):
@@ -748,7 +770,7 @@ def test_conv1_conditions_are_the_and_of_per_term_selections():
     pairs = held = 0
     for n in range(4):
         for space in enumerate_topologies(n):
-            for env in [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]:
+            for env in [CheckEnv(space)] + [env for _, env in corrupted_environments(space)]:
                 car = env.carrier("F")
                 elems = car.elements
                 sel = per_term_selection(space, car)
@@ -796,7 +818,7 @@ def test_closure_singleton_matches_element_scan():
         spaces.append(parse_space((BENCH_DOCS / f"{name}.json").read_text()).space)
     statuses = []
     for space in spaces:
-        for env in [CheckEnv(space)] + [factory() for _, factory in corrupted_environments(space)]:
+        for env in [CheckEnv(space)] + [env for _, env in corrupted_environments(space)]:
             got = run_check("check_closure_singleton", space, env)
             assert got == scan_closure_singleton(space, env)
             statuses.append(got.status)
@@ -841,8 +863,7 @@ def test_slice_loop_never_fails_past_the_topology_precheck(carrier_corpus):
     # ``_not_a_topology_at`` passes, the deleted loop would have passed too
     tables = [build_topology(car, flavor) for car in carrier_corpus for flavor in FLAVORS]
     for space in (s for n in range(5) for s in enumerate_topologies(n)):
-        for _, factory in corrupted_environments(space):
-            env = factory()
+        for _, env in corrupted_environments(space):
             tables += [env.topology(kind, flavor) for kind in CARRIER_KINDS for flavor in FLAVORS]
     rng = random.Random(1210)
     dummy = FinTopSpace(0, (0,))
