@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import cache
 
 from .errors import AxiomViolation, LimHyperError, ParseError
 from .finspace import bits, digest, separated_points, set_repr
@@ -169,10 +170,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and reused by every ``run``."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

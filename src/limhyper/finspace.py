@@ -244,11 +244,15 @@ def specialization_pairs(space: FinTopSpace) -> tuple[tuple[int, int], ...]:
 def _space_from_rows(n: int, rows: tuple[int, ...]) -> FinTopSpace:
     """Topology whose opens are the unions of the given minimal neighborhoods,
     found by closing {0} under union with one distinct row at a time, in
-    O(n * |opens|) unions."""
+    O(n * |opens|) unions. ``rows`` must be reflexive and transitive; such a
+    table is the minimal-neighborhood table of its up-set topology, so it is
+    kept as the space's ``rows``."""
     fam = {0}
     for row in set(rows):
         fam |= {u | row for u in fam}
-    return FinTopSpace(n, tuple(sorted(fam, key=canonical_key)))
+    space = FinTopSpace(n, tuple(sorted(fam, key=canonical_key)))
+    space.__dict__["rows"] = rows
+    return space
 
 
 def from_preorder(n: int, relation: Iterable[tuple[int, int]]) -> FinTopSpace:
@@ -279,21 +283,22 @@ def from_preorder(n: int, relation: Iterable[tuple[int, int]]) -> FinTopSpace:
     return _space_from_rows(n, tuple(rows))
 
 
-def _preorder_rows(n: int) -> Iterator[tuple[int, ...]]:
-    """Every reflexive transitive row table on n points, depth first.
+def _preorder_rows(n: int, prefix: tuple[int, ...] = (), depth: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Every reflexive transitive row table on n points that starts with
+    ``prefix``, depth first, cut to its first ``depth`` rows (all n by
+    default).
 
     rows[i] is the bitmask {j : i <= j}; transitivity is the row condition
     j in rows[i] implies rows[j] subset of rows[i], checked incrementally.
+    Every partial table the search reaches extends to a whole one, so the
+    tables under the cut tables, in order, are all tables in order.
     """
-    if n == 0:
-        yield ()
-        return
-    full = full_mask(n)
-    candidates = [[m for m in range(full + 1) if m & (1 << i)] for i in range(n)]
-    rows: list[int] = []
+    depth = n if depth is None else depth
+    candidates = [[m for m in range(1 << n) if m & (1 << i)] for i in range(n)]
+    rows = list(prefix)
 
     def extend(k: int) -> Iterator[tuple[int, ...]]:
-        if k == n:
+        if k == depth:
             yield tuple(rows)
             return
         for m in candidates[k]:
@@ -311,7 +316,26 @@ def _preorder_rows(n: int) -> Iterator[tuple[int, ...]]:
                 yield from extend(k + 1)
                 rows.pop()
 
-    yield from extend(0)
+    yield from extend(len(rows))
+
+
+def preorder_prefixes(n: int) -> tuple[tuple[int, ...], ...]:
+    """The first two rows of every preorder table on n points, in
+    enumeration order: the roots of the subtrees that a sweep splits the
+    enumeration into (126 at n = 5). Enumeration is capped at
+    ``MAX_ENUM_POINTS`` points."""
+    if n < 0:
+        raise GroundMismatch("negative point count")
+    if n > MAX_ENUM_POINTS:
+        raise BudgetExceeded(f"enumeration capped at {MAX_ENUM_POINTS} points, got {n}")
+    return tuple(_preorder_rows(n, depth=min(n, 2)))
+
+
+def topologies_under(n: int, prefix: tuple[int, ...]) -> Iterator[FinTopSpace]:
+    """The labeled topologies on n points whose row table starts with
+    ``prefix``, in enumeration order."""
+    for rows in _preorder_rows(n, prefix):
+        yield _space_from_rows(n, rows)
 
 
 def enumerate_topologies(n: int) -> Iterator[FinTopSpace]:
@@ -320,14 +344,12 @@ def enumerate_topologies(n: int) -> Iterator[FinTopSpace]:
 
     Preorders and topologies on a finite labeled set are in bijection, so
     the stream enumerates transitive reflexive row tables and converts
-    each to its up-set topology; no deduplication is needed.
+    each to its up-set topology; no deduplication is needed. The stream is
+    the concatenation of ``topologies_under(n, p)`` over the
+    ``preorder_prefixes(n)``, which enforces the point cap.
     """
-    if n < 0:
-        raise GroundMismatch("negative point count")
-    if n > MAX_ENUM_POINTS:
-        raise BudgetExceeded(f"enumeration capped at {MAX_ENUM_POINTS} points, got {n}")
-    for rows in _preorder_rows(n):
-        yield _space_from_rows(n, rows)
+    for prefix in preorder_prefixes(n):
+        yield from topologies_under(n, prefix)
 
 
 def digest(space: FinTopSpace) -> str:

@@ -140,8 +140,10 @@ def parse_report(text: str) -> VerificationReport:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ParseError("report must be a JSON object")
-    if doc.get("schema") != REPORT_SCHEMA:
-        raise ParseError(f"unsupported report schema {doc.get('schema')!r}")
+    schema = doc.get("schema")
+    # true and 1.0 compare equal to 1 but are not the schema number
+    if type(schema) is not int or schema != REPORT_SCHEMA:
+        raise ParseError(f"unsupported report schema {schema!r}")
     try:
         points, digest = doc["space"]["points"], doc["space"]["digest"]
         if not isinstance(points, list) or not all(isinstance(p, str) for p in points):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import Pool
 
 from .errors import BudgetExceeded, NotInCarrier, NotOpen
@@ -24,12 +25,13 @@ from .finspace import (
     canonical_key,
     closure,
     digest,
-    enumerate_topologies,
     family_repr,
     is_connected,
     mask_of,
+    preorder_prefixes,
     separated_points,
     set_repr,
+    topologies_under,
 )
 from .hyperspace import (
     FLAVORS,
@@ -600,42 +602,63 @@ class SweepResult:
     elapsed_s: float
 
 
-def _sweep_worker(space: FinTopSpace) -> tuple[str, tuple[str, ...]]:
-    report = verify_all(space)
-    failing = tuple(r.check_id for r in report.results if r.status == FAIL)
-    return report.space_digest, failing
+def _sweep_task(n: int, prefix: tuple[int, ...]) -> tuple[int, int, tuple[tuple[str, str], ...]]:
+    """Verify every space of one enumeration subtree: its space count,
+    failure count and the first failing digest of each check, in
+    enumeration order."""
+    count = failures = 0
+    first: dict[str, str] = {}
+    for space in topologies_under(n, prefix):
+        count += 1
+        report = verify_all(space)
+        for r in report.results:
+            if r.status == FAIL:
+                failures += 1
+                first.setdefault(r.check_id, report.space_digest)
+    return count, failures, tuple(first.items())
 
 
 def sweep(n: int, long_run: bool = False, jobs: int | None = None) -> SweepResult:
     """Run the whole suite over every labeled topology on n points.
 
     The five-point sweep multiplies 6942 spaces by the full suite and must
-    be requested explicitly through ``long_run``.
+    be requested explicitly through ``long_run``. The enumeration is split
+    into subtrees by the first two rows of the preorder table; each task
+    enumerates and verifies one subtree and returns one aggregate, and the
+    aggregates are merged in enumeration order, so the result does not
+    depend on ``jobs``. ``elapsed_s`` includes the enumeration.
     """
     if n < 1:
         raise ValueError("sweep needs at least one point")
     if n >= 5 and not long_run:
         raise BudgetExceeded("sweep over five points requires the long-run flag")
     if jobs is None:
-        jobs = int(os.environ.get("LH_JOBS", "1"))
-    spaces = list(enumerate_topologies(n))
+        value = os.environ.get("LH_JOBS", "1")
+        try:
+            jobs = int(value)
+        except ValueError:
+            raise ValueError(f"LH_JOBS must be an integer, got {value!r}") from None
     t0 = time.perf_counter()
-    workers = min(jobs, len(spaces))
+    prefixes = preorder_prefixes(n)
+    task = partial(_sweep_task, n)
+    workers = min(jobs, len(prefixes))
     if workers > 1:
-        chunk = max(1, len(spaces) // (workers * 8))
+        # subtrees hold 9 to 632 of the 6942 five-point spaces, so each
+        # task goes out on its own to keep the workers evenly loaded
         with Pool(workers) as pool:
-            rows = pool.map(_sweep_worker, spaces, chunksize=chunk)
+            parts = pool.map(task, prefixes, chunksize=1)
     else:
-        rows = [_sweep_worker(s) for s in spaces]
-    failures = 0
+        parts = [task(p) for p in prefixes]
+    count = failures = 0
     first: dict[str, str] = {}
-    for dig, failing in rows:
-        failures += len(failing)
-        for check_id in failing:
+    for part_count, part_failures, part_first in parts:
+        count += part_count
+        failures += part_failures
+        for check_id, dig in part_first:
             first.setdefault(check_id, dig)
     return SweepResult(
         n,
-        len(spaces),
+        count,
         failures,
         tuple(sorted(first.items())),
         time.perf_counter() - t0,

@@ -151,6 +151,31 @@ def test_sweep_three(capsys):
     assert capsys.readouterr().out == "29 spaces, 0 failures\n"
 
 
+def test_run_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    build_parser = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run(["sweep", "2"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert capsys.readouterr().out == "4 spaces, 0 failures\n" * 3
+    assert built == [1]
+
+
+def test_sweep_names_a_bad_lh_jobs(monkeypatch, capsys):
+    monkeypatch.setenv("LH_JOBS", "two")
+    assert run(["sweep", "2"]) == 2
+    assert capsys.readouterr().err == "error: LH_JOBS must be an integer, got 'two'\n"
+
+
 def test_sweep_five_needs_long_flag(capsys):
     assert run(["sweep", "5"]) == 2
     assert "long-run" in capsys.readouterr().err

@@ -34,7 +34,9 @@ from limhyper.finspace import (
     is_separated,
     mask_of,
     meet_of,
+    preorder_prefixes,
     set_repr,
+    topologies_under,
     transpose,
     union_of,
 )
@@ -479,6 +481,24 @@ def test_enumerate_unique_and_valid():
         assert space.opens not in seen
         seen.add(space.opens)
         assert validate_topology(space.n, space.opens) == space
+
+
+def test_prefix_subtrees_concatenate_to_the_enumeration():
+    # one search cut after two rows, then resumed under each cut table,
+    # walks the tables of the uncut search in the same order; the rows a
+    # space keeps from the search are the rows its opens give
+    for n in range(6):
+        prefixes = preorder_prefixes(n)
+        assert len(prefixes) == (1, 1, 4, 12, 38, 126)[n]
+        subtrees = [list(topologies_under(n, p)) for p in prefixes]
+        assert all(subtrees), n
+        spaces = [space for subtree in subtrees for space in subtree]
+        assert spaces == list(enumerate_topologies(n))
+        assert [s.opens for s in spaces] == [_space_from_rows(n, r).opens for r in _preorder_rows(n)]
+        for prefix, subtree in zip(prefixes, subtrees):
+            for space in subtree:
+                assert space.rows == FinTopSpace(n, space.opens).rows
+                assert space.rows[:len(prefix)] == prefix
 
 
 def test_enumerate_budget():

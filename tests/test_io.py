@@ -102,6 +102,13 @@ def test_parse_report_rejects_malformed_structure(sierpinski):
 
 
 
+def test_parse_report_reads_only_the_integer_schema_1(sierpinski):
+    doc = json.loads(emit_report(verify_all(sierpinski, labels=("a", "b")), "json"))
+    for schema in (True, 1.0, "1", 2, None):
+        with pytest.raises(ParseError, match="unsupported report schema"):
+            parse_report(json.dumps(dict(doc, schema=schema)))
+
+
 def test_parse_report_rejects_fields_that_are_not_strings(sierpinski):
     doc = json.loads(emit_report(verify_all(sierpinski, labels=("a", "b")), "json"))
     bad_docs = [

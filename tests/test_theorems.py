@@ -1,7 +1,9 @@
 import itertools
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +26,7 @@ from limhyper import (
     verify_all,
 )
 from limhyper import FinTopSpace, HyperCarrier, HyperTopology, S_of, theorems
-from limhyper.finspace import bits, canonical_key, mask_of, meet_of
+from limhyper.finspace import bits, canonical_key, digest, mask_of, meet_of, preorder_prefixes
 from limhyper.hyperspace import FLAVORS, build_topology
 from limhyper.limitsets import CARRIER_KINDS
 from limhyper.spaceio import parse_point_set
@@ -147,23 +149,27 @@ def test_lh_jobs_env_is_the_default(monkeypatch):
     assert (r.space_count, r.failure_count) == (4, 0)
 
 
+def test_lh_jobs_that_is_not_an_integer_is_named(monkeypatch):
+    monkeypatch.setenv("LH_JOBS", "two")
+    with pytest.raises(ValueError, match="LH_JOBS must be an integer, got 'two'"):
+        sweep(2)
+
+
 def test_sweep_jobs_do_not_change_results():
-    serial = sweep(2, jobs=1)
-    parallel = sweep(2, jobs=2)
-    assert (serial.space_count, serial.failure_count) == (
-        parallel.space_count,
-        parallel.failure_count,
-    )
+    for n in range(1, 5):
+        serial = replace(sweep(n, jobs=1), elapsed_s=0.0)
+        assert replace(sweep(n, jobs=2), elapsed_s=0.0) == serial, n
 
 
-def test_sweep_starts_no_more_workers_than_spaces(monkeypatch):
-    # an in-process stand-in for the pool records the worker count sweep
-    # asks for; no process is started
-    sizes = []
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """An in-process stand-in for the pool: records the worker count sweep
+    asks for and the items it maps; no process is started."""
+    record = SimpleNamespace(sizes=[], items=[])
 
     class RecordingPool:
         def __init__(self, workers):
-            sizes.append(workers)
+            record.sizes.append(workers)
 
         def __enter__(self):
             return self
@@ -172,18 +178,60 @@ def test_sweep_starts_no_more_workers_than_spaces(monkeypatch):
             return False
 
         def map(self, fn, items, chunksize=1):
+            record.items.extend(items)
             return [fn(item) for item in items]
 
-    def outcome(result):
-        return result.space_count, result.failure_count, result.first_failures
-
     monkeypatch.setattr(theorems, "Pool", RecordingPool)
+    return record
+
+
+def outcome(result):
+    return result.space_count, result.failure_count, result.first_failures
+
+
+def test_sweep_starts_no_more_workers_than_spaces(recording_pool):
+    # one task per prefix subtree, so at most that many workers, and a
+    # subtree holds at least one space
+    sizes = recording_pool.sizes
     serial = sweep(2, jobs=1)
     assert sizes == []
     assert outcome(sweep(2, jobs=8)) == outcome(serial) == (4, 0, ())
     assert sizes == [4]
     assert outcome(sweep(1, jobs=8)) == (1, 0, ()) and sizes == [4]
     assert outcome(sweep(3, jobs=2)) == (29, 0, ()) and sizes == [4, 2]
+    assert outcome(sweep(4, jobs=64)) == (355, 0, ()) and sizes == [4, 2, 38]
+
+
+def test_sweep_maps_prefixes_not_spaces(recording_pool):
+    sweep(4, jobs=2)
+    assert recording_pool.items == list(preorder_prefixes(4))
+    assert all(isinstance(p, tuple) and all(type(r) is int for r in p) for p in recording_pool.items)
+
+
+def test_sweep_merges_task_results_in_enumeration_order(monkeypatch, recording_pool):
+    # two checks fail on fixed subsets of the spaces; the merged counts
+    # and first failures equal those of one plain loop
+    def failing_on(check_id, pred):
+        return lambda space, env: CheckResult(check_id, FAIL if pred(space) else PASS)
+
+    monkeypatch.setitem(CHECKS, "check_baire", failing_on("check_baire", lambda s: int(digest(s), 16) % 7 == 3))
+    monkeypatch.setitem(
+        CHECKS, "check_connectedness", failing_on("check_connectedness", lambda s: len(s.opens) == s.n + 1)
+    )
+    for n in range(1, 5):
+        count = failures = 0
+        first = {}
+        for space in enumerate_topologies(n):
+            count += 1
+            for r in verify_all(space).results:
+                if r.status == FAIL:
+                    failures += 1
+                    first.setdefault(r.check_id, digest(space))
+        want = (count, failures, tuple(sorted(first.items())))
+        if n == 4:
+            assert len(first) == 2 and failures > 2
+        for jobs in (1, 2, 8):
+            assert outcome(sweep(n, jobs=jobs)) == want, (n, jobs)
 
 
 def test_sweep_guards():
@@ -191,6 +239,9 @@ def test_sweep_guards():
         sweep(0)
     with pytest.raises(BudgetExceeded):
         sweep(5)
+    # above the enumeration cap even a long run refuses before any work
+    with pytest.raises(BudgetExceeded, match="capped at 5 points"):
+        sweep(6, long_run=True)
 
 
 # ------------------------------------------------------- expect-fail mining
