@@ -30,26 +30,15 @@ from .finspace import (
 from .hyperspace import (
     EvPerSeq,
     HyperTopology,
-    basic_open_membership,
     build_topology,
-    conv1_conditions,
     hyper_closure,
     hyper_component,
-    identity_continuous_at,
-    inclusion_relation,
     is_closed_sub,
     is_compact_cover,
     is_connected_hyper,
     is_dense,
-    is_hausdorff,
-    is_primitive,
     is_separated_in,
-    min_nbhd_oracle,
     product_closure,
-    product_is_closed,
-    product_min_nbhd,
-    S_of,
-    seq_clusters,
     seq_limits,
 )
 from .limitsets import (
@@ -58,7 +47,6 @@ from .limitsets import (
     carriers,
     eta,
     is_limit_set,
-    is_limit_set_oracle,
     limit_witness,
 )
 from .spaceio import LabeledSpace, emit_report, parse_report, parse_space
@@ -70,6 +58,20 @@ from .theorems import (
     run_check,
     sweep,
     verify_all,
+)
+from .oracle import (
+    S_of,
+    basic_open_membership,
+    conv1_conditions,
+    identity_continuous_at,
+    inclusion_relation,
+    is_hausdorff,
+    is_limit_set_oracle,
+    is_primitive,
+    min_nbhd_oracle,
+    product_is_closed,
+    product_min_nbhd,
+    seq_clusters,
 )
 
 __version__ = "0.1.0"

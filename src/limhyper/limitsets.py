@@ -4,9 +4,9 @@ A set L is a limit set when every finite family of opens that all meet L
 has a common point. On a finite space the family of all opens meeting L
 is itself such a family, so the criterion collapses to one intersection,
 the AND of the minimal neighborhoods of L's points: each is an open meeting
-L, and every open meeting L at x contains min_nbhd(x);
-``is_limit_set_oracle`` keeps the literal quantification over subfamilies
-as an independent cross-check.
+L, and every open meeting L at x contains min_nbhd(x). The tests compare
+it with ``oracle.is_limit_set_oracle``, the literal quantification over
+subfamilies.
 """
 
 from __future__ import annotations
@@ -14,13 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import BudgetExceeded, GroundMismatch, NotInCarrier
-from .finspace import FinTopSpace, _check_subset, bits, closed_sets, meet_of, set_repr, transpose, union_of
+from .errors import GroundMismatch, NotInCarrier
+from .finspace import FinTopSpace, _check_subset, closed_sets, meet_of, set_repr, transpose, union_of
 
 CARRIER_KINDS = ("F", "Fprime", "L", "Lprime", "ML")
-
-ORACLE_OPENS_BUDGET = 20
-
 
 @dataclass(frozen=True)
 class HyperCarrier:
@@ -89,25 +86,6 @@ def is_limit_set(space: FinTopSpace, l: int) -> bool:
     """
     _check_subset(space, l)
     return meet_of(space.rows, l, space.full) != 0
-
-
-def is_limit_set_oracle(space: FinTopSpace, l: int) -> bool:
-    """Literal quantification: every subfamily of opens meeting l must have
-    a nonempty intersection. Exponential in the number of meeting opens;
-    intended for small spaces only.
-    """
-    _check_subset(space, l)
-    if len(space.opens) > ORACLE_OPENS_BUDGET:
-        raise BudgetExceeded(f"oracle limited to {ORACLE_OPENS_BUDGET} opens, space has {len(space.opens)}")
-    meeting = [u for u in space.opens if u & l]
-    full = space.full
-    for chosen in range(1 << len(meeting)):
-        inter = full
-        for i in bits(chosen):
-            inter &= meeting[i]
-        if inter == 0:
-            return False
-    return True
 
 
 def limit_witness(space: FinTopSpace, l: int) -> int | None:

@@ -39,7 +39,6 @@ from .hyperspace import (
     build_topology,
     hyper_closure,
     hyper_component,
-    inclusion_relation,
     is_closed_sub,
     is_compact_cover,
     is_connected_hyper,
@@ -411,7 +410,7 @@ def check_product_structure(space, env):
     cid = "check_product_structure"
     lcar = env.carrier("L")
     ts = env.topology("L", "s")
-    e = inclusion_relation(lcar)
+    e = lcar.supersets
     for i, (row, e_row) in enumerate(zip(product_closure(ts, ts, e), e)):
         extra = row & ~e_row
         if extra:
@@ -481,16 +480,16 @@ def check_conv_props(space, env, max_pre=1, max_cycle=2):
     hold for the targets A with reach <= A <= good, reach and good the
     union and the intersection over its terms t of near(t), the points
     whose minimal neighborhood meets t; near(t) is the closure of t, closed
-    or not, and ``conv1_conditions`` decides the same point by point. So
-    they are the AND over the terms of ``sel[t]``, the bit of the target
-    equal to the closure of t, or 0 when the carrier lacks it. The Fell
-    limits are the AND of ``cols_s[t]``, and the primitive side is the
-    targets whose closed subsets are the terms' common ``cols_w[t]``, or
-    none when those differ. Distinct elements have distinct ``subsets``
-    masks (``subsets[i]`` holds i, and lies inside ``subsets[j]`` only when
-    element i lies inside element j), so that is one target at most. Term
-    t passes when all three are one target j: ``cols_s[t] == 1 << j`` and
-    ``cols_w[t] == subsets[j]``. If every term passes, every set of terms
+    or not, and ``oracle.conv1_conditions`` decides the same point by
+    point. So they are the AND over the terms of ``sel[t]``, the bit of
+    the target equal to the closure of t, or 0 when the carrier lacks it.
+    The Fell limits are the AND of ``cols_s[t]``, and the primitive side
+    is the targets whose closed subsets are the terms' common
+    ``cols_w[t]``, or none when those differ. Distinct elements have
+    distinct ``subsets`` masks (``subsets[i]`` holds i, and lies inside
+    ``subsets[j]`` only when element i lies inside element j), so that is
+    one target at most. Term t passes when all three are one target j:
+    ``cols_s[t] == 1 << j`` and ``cols_w[t] == subsets[j]``. If every term passes, every set of terms
     agrees: the first two are ANDs of the same single bits, and the
     ``cols_w[t] == subsets[j_t]`` differ exactly when the j_t do, where
     those ANDs are 0. ``sel`` and ``subsets`` depend on the space and the
@@ -499,6 +498,18 @@ def check_conv_props(space, env, max_pre=1, max_cycle=2):
     failing term is the first failing cycle. Convergence is a tail
     property, so no preperiod changes a verdict either: ``max_pre`` and
     ``max_cycle`` only set the counts of cycles and sequences in the note.
+
+    The verdict is also that of every net. The tail ranges
+    T_d = {x_e : e >= d} of a net (x_d) in the finite carrier form a
+    filter base of nonempty sets, so the smallest of them, S, lies in all
+    the others. The net is eventually in a set U exactly when S lies in
+    U, and frequently in U exactly when S meets U. Fell limits, tau_w
+    limits and clusters, and the Kuratowski lower and upper limits of
+    point selections read only these two predicates, so every net has the
+    verdict of the periodic sequence with cycle S, and every nonempty S is
+    such a cycle. The check therefore decides the net form of the claim
+    exactly; its ``proxy`` status and its note are ``verify`` output and
+    stay as they are.
     """
     cid = "check_conv_props"
     tw = env.topology("F", "w")

@@ -1,3 +1,4 @@
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,19 @@ def bench_doc_spaces():
     return [parse_space((BENCH_DOCS / f"{name}.json").read_text()).space for name in DOC_NAMES]
 
 
+@cache
+def _spaces(n):
+    return tuple(enumerate_topologies(n))
+
+
+def spaces_upto(n_max, start=0):
+    """Every labeled topology on start..n_max points, in enumeration order.
+    The spaces are enumerated once per test run and shared: they are
+    immutable, and their cached rows and closures are deterministic."""
+    for n in range(start, n_max + 1):
+        yield from _spaces(n)
+
+
 def loop_transpose(rows, width):
     """The transpose loop that ``FinTopSpace.closures``,
     ``HyperTopology.cols`` and ``HyperCarrier.holding`` (over the elements)
@@ -62,10 +76,10 @@ def carrier_corpus():
     documents, then every corrupted carrier that mining builds on the
     spaces with n <= 4, non-closed, non-limit and non-maximal elements
     included."""
-    spaces = [s for n in range(6) for s in enumerate_topologies(n)] + bench_doc_spaces()
+    spaces = [*spaces_upto(5), *bench_doc_spaces()]
     cars = [car for space in spaces for car in carriers(space).values()]
     seen = {(car.space, car.kind, car.elements) for car in cars}
-    for space in (s for n in range(5) for s in enumerate_topologies(n)):
+    for space in spaces_upto(4):
         for _, env in corrupted_environments(space):
             for kind in CARRIER_KINDS:
                 car = env.carrier(kind)

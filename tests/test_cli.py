@@ -3,18 +3,16 @@ import json
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from limhyper import EvPerSeq, ParseError, build_topology, carrier, carriers, cli, is_separated_in, parse_space
+from conftest import BENCH_DOCS, DOC_NAMES
+from limhyper import EvPerSeq, ParseError, build_topology, carriers, cli, parse_space
 from limhyper.cli import run
-from limhyper.finspace import bits, digest, family_repr, separated_points, set_repr
+from limhyper.finspace import bits, digest, family_repr, mask_of, set_repr
 from limhyper.hyperspace import FLAVORS
 from limhyper.limitsets import CARRIER_KINDS
-from limhyper.spaceio import parse_point_set
-
-BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
+from limhyper.oracle import pairwise_separated
 
 SIERPINSKI = '{"points": ["a", "b"], "opens": [[], ["a"], ["a", "b"]]}'
 THREE_POINT = (
@@ -95,37 +93,37 @@ def test_report_is_deterministic(three_point_file, capsys):
     assert capsys.readouterr().out == first
 
 
-def reference_report(path, kind, flavor):
-    """The report as each line was once built: every neighborhood and
-    closure re-formatted and re-sorted through family_repr."""
-    doc = parse_space(Path(path).read_text())
+@pytest.mark.parametrize("name", DOC_NAMES)
+def test_report_matches_reference_formatter_on_benchmark_documents(name, capsys):
+    # every carrier and topology of each document, byte for byte, against
+    # the report rendered from the definitions: an element's minimal
+    # neighborhood is its row of the table, its closure the elements whose
+    # row holds it, and separation is pairwise, for the points as for the
+    # elements
+    path = BENCH_DOCS / f"{name}.json"
+    doc = parse_space(path.read_text())
     space, labels = doc.space, doc.labels
-    car = carrier(space, kind)
-    top = build_topology(car, flavor)
-    ml = set(carrier(space, "ML").elements)
-    lines = [
+    cars = carriers(space)
+    separated = mask_of(y for y in range(space.n) if pairwise_separated(space.rows, y))
+    head = [
         f"space: n={space.n} digest={digest(space)}",
         "points: " + set_repr(space.full, labels),
         "opens: " + " ".join(set_repr(u, labels) for u in space.opens),
-        "separated points: " + set_repr(separated_points(space), labels),
-        f"carrier: {kind}  topology: tau_{flavor}  elements: {len(car.elements)}",
+        "separated points: " + set_repr(separated, labels),
     ]
-    for i, m in enumerate(car.elements):
-        nbhd = family_repr((car.elements[j] for j in bits(top.rows[i])), labels)
-        clo = family_repr((car.elements[j] for j in bits(top.cols[i])), labels)
-        is_ml = "yes" if m in ml else "no"
-        sep = "yes" if is_separated_in(top, i) else "no"
-        lines.append(f"{set_repr(m, labels)}: min_nbhd={nbhd} closure={clo} ml={is_ml} separated={sep}")
-    return "\n".join(lines) + "\n"
-
-
-@pytest.mark.parametrize("name", ["discrete7", "discrete8", "chain16", "bipartite10"])
-def test_report_matches_reference_formatter_on_benchmark_documents(name, capsys):
-    path = str(BENCH_DOCS / f"{name}.json")
     for kind in CARRIER_KINDS:
+        elems = cars[kind].elements
         for flavor in FLAVORS:
-            assert run(["report", path, "--carrier", kind, "--topology", flavor]) == 0
-            got, want = capsys.readouterr().out, reference_report(path, kind, flavor)
+            rows = build_topology(cars[kind], flavor).rows
+            lines = head + [f"carrier: {kind}  topology: tau_{flavor}  elements: {len(elems)}"]
+            for i, m in enumerate(elems):
+                nbhd = family_repr((elems[j] for j in bits(rows[i])), labels)
+                clo = family_repr((b for b, row in zip(elems, rows) if (row >> i) & 1), labels)
+                is_ml = "yes" if m in cars["ML"].elements else "no"
+                sep = "yes" if pairwise_separated(rows, i) else "no"
+                lines.append(f"{set_repr(m, labels)}: min_nbhd={nbhd} closure={clo} ml={is_ml} separated={sep}")
+            assert run(["report", str(path), "--carrier", kind, "--topology", flavor]) == 0
+            got, want = capsys.readouterr().out, "\n".join(lines) + "\n"
             # a bare bool keeps pytest from diffing hundreds of long lines
             same = got == want
             assert same, (kind, flavor, next((p for p in zip(got.splitlines(), want.splitlines()) if p[0] != p[1]), None))
@@ -248,71 +246,95 @@ def test_unreadable_path_is_a_usage_error(tmp_path, capsys):
         assert captured.err.startswith("error: ")
 
 
-def split_parse_seq(spec, labels, closed_elems):
-    """``_parse_seq`` as it split the terms on a '|' sentinel, before it
-    read them as {...} groups; kept as the reference for labels without
-    '|'."""
-    spec = spec.strip()
-    if not spec.startswith("pre:[") or ";cyc:[" not in spec or not spec.endswith("]"):
-        raise ParseError("sequence must look like pre:[{a},...];cyc:[{b},...]")
-    pre_part, cyc_part = spec.split(";cyc:[", 1)
+def grammar_parts(max_len):
+    """Every sequence part of at most ``max_len`` characters over braces,
+    ',', '|', spaces and the labels a, b that the ``--seq`` grammar
+    generates, mapped to the point sets its groups name: spaces, then
+    nothing or {...} groups joined by a comma with spaces after it or by a
+    bar with spaces around it, then spaces. A group holds only spaces (the
+    empty set) or labels separated by commas, spaces around each."""
+    groups = {}
+    for k in range(max_len - 1):
+        for inner in map("".join, itertools.product(" ,ab", repeat=k)):
+            names = [name.strip() for name in inner.split(",")]
+            if names == [""]:
+                groups["{" + inner + "}"] = 0
+            elif all(name in ("a", "b") for name in names):
+                groups["{" + inner + "}"] = mask_of("ab".index(name) for name in names)
+    seps = [",", "|"] + [sep + " " * k for k in range(1, max_len) for sep in (",", "|")]
+    seps += [" " * i + "|" + " " * k for k in range(max_len) for i in range(1, max_len)]
+    chains = frontier = {text: (mask,) for text, mask in groups.items()}
+    while frontier:
+        frontier = {
+            text + sep + group: terms + (mask,)
+            for text, terms in frontier.items()
+            for sep in seps
+            for group, mask in groups.items()
+            if len(text + sep + group) <= max_len
+        }
+        chains = {**chains, **frontier}
+    chains[""] = ()
+    return {
+        " " * i + text + " " * j: terms
+        for text, terms in chains.items()
+        for i in range(max_len + 1)
+        for j in range(max_len + 1 - i - len(text))
+    }
 
-    def parse_terms(body):
-        body = body.strip()
-        if not body:
-            return ()
-        terms = []
-        for piece in body.replace("},", "}|").split("|"):
-            mask = parse_point_set(piece, labels)
-            try:
-                terms.append(closed_elems.index(mask))
-            except ValueError:
-                raise ParseError("not closed") from None
-        return tuple(terms)
 
-    pre = parse_terms(pre_part[len("pre:["):-1])
-    cyc = parse_terms(cyc_part[:-1])
-    if not cyc:
-        raise ParseError("cycle part must be nonempty")
-    return EvPerSeq(pre, cyc)
-
-
-def _seq_outcome(parse, spec, labels, elems):
-    try:
-        return parse(spec, labels, elems)
-    except ParseError:
-        return "ParseError"
-
-
-def test_parse_seq_accepts_what_the_split_parser_accepted():
-    # every cycle body of up to five characters over braces, separators,
-    # spaces and the labels of the discrete two-point space, and random
-    # bodies and preperiods of up to six tokens
+def test_parse_seq_accepts_exactly_what_the_grammar_generates():
+    # every part of up to five characters over braces, separators, spaces
+    # and the labels of the discrete two-point space, as the cycle and as
+    # the preperiod: the parser accepts exactly the parts the grammar
+    # generates and reads each back as the sets its groups name, so bare
+    # labels, doubled, leading or trailing separators and empty slots are
+    # refused
     labels, elems = ("a", "b"), (0, 1, 2, 3)
-    bodies = [""]
-    for length in range(1, 6):
-        bodies += ["".join(p) for p in itertools.product("{},| ab", repeat=length)]
-    rng = random.Random(7)
-    terms = ["{a}", "{b}", "{a,b}", "{ b , a }", "{}"]
-    separators = [",", ", ", ",\t", "|", " | "]
-    noise = ["{", "}", "a", " ,", ",,", " ", "|"]
-    randoms = []
-    for _ in range(4000):
-        pieces = [rng.choice(terms)]
-        for _ in range(rng.randint(0, 3)):
-            pieces += [rng.choice(separators), rng.choice(terms)]
-        if rng.random() < 0.2:
-            pieces.insert(rng.randint(0, len(pieces)), rng.choice(noise))
-        randoms.append(" " * rng.randint(0, 1) + "".join(pieces))
-    specs = [f"pre:[];cyc:[{b}]" for b in bodies] + [f"pre:[{p}];cyc:[{c}]" for p, c in zip(randoms, reversed(randoms))]
+    language = grammar_parts(5)
+
+    def outcome(spec):
+        try:
+            return cli._parse_seq(spec, labels, elems)
+        except ParseError:
+            return None
+
     accepted = 0
-    for spec in specs:
-        want = _seq_outcome(split_parse_seq, spec, labels, elems)
-        assert _seq_outcome(cli._parse_seq, spec, labels, elems) == want, spec
-        accepted += want != "ParseError"
-    assert accepted > 1000
-    # the last two lack the ']' closing the preperiod; the split parser
-    # dropped the preperiod's last character unread and accepted them
+    for length in range(6):
+        for part in map("".join, itertools.product("{},| ab", repeat=length)):
+            terms = language.get(part)
+            assert outcome(f"pre:[];cyc:[{part}]") == (EvPerSeq((), terms) if terms else None), part
+            assert outcome(f"pre:[{part}];cyc:[{{a}}]") == (None if terms is None else EvPerSeq(terms, (1,))), part
+            accepted += terms is not None
+    assert accepted == len(language) == 62 and {"{},{}", "{}|{}"} <= language.keys()
+    # longer sequences written as the grammar allows: terms with spaces
+    # inside the braces, separated by a comma with or without whitespace
+    # after it or by a '|' with or without spaces around it, a preperiod
+    # that may be empty and spaces around the whole; each reads back as the
+    # closed sets it was written from, and a brace, a '|' or ',,' put
+    # anywhere in either part, which no position makes grammatical, is
+    # refused
+    spellings = {0: ["{}", "{ }"], 1: ["{a}", "{ a }"], 2: ["{b}", "{b }"], 3: ["{a,b}", "{ b , a }", "{b,a}"]}
+    separators = [",", ", ", ",\t", "|", " | ", " |", "| "]
+    rng = random.Random(7)
+
+    def write(terms):
+        text = rng.choice(spellings[terms[0]]) if terms else ""
+        for t in terms[1:]:
+            text += rng.choice(separators) + rng.choice(spellings[t])
+        return " " * rng.randint(0, 1) + text
+
+    for _ in range(2000):
+        pre = tuple(rng.randrange(4) for _ in range(rng.randint(0, 3)))
+        cyc = tuple(rng.randrange(4) for _ in range(rng.randint(1, 4)))
+        bodies = [write(pre), write(cyc)]
+        spec = " " * rng.randint(0, 1) + "pre:[{}];cyc:[{}]".format(*bodies)
+        assert outcome(spec) == EvPerSeq(pre, cyc), spec
+        part = rng.randrange(2)
+        at = rng.randint(0, len(bodies[part]))
+        bodies[part] = bodies[part][:at] + rng.choice(["{", "}", "|", ",,"]) + bodies[part][at:]
+        spec = "pre:[{}];cyc:[{}]".format(*bodies)
+        assert outcome(spec) is None, spec
+    # the last two lack the ']' closing the preperiod
     for spec in (
         "pre:[];cyc:[{b}{a}]",
         "pre:[];cyc:[{a} ,{b}]",
@@ -321,8 +343,7 @@ def test_parse_seq_accepts_what_the_split_parser_accepted():
         "pre:[{a}x;cyc:[{b}]",
         "pre:[;cyc:[{a}]",
     ):
-        with pytest.raises(ParseError):
-            cli._parse_seq(spec, labels, elems)
+        assert outcome(spec) is None, spec
 
 
 BAR_LABELS = '{"points": ["a|b", "c"], "opens": [[], ["a|b"], ["a|b", "c"]]}'

@@ -1,11 +1,10 @@
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bench_doc_spaces, loop_transpose
+from conftest import bench_doc_spaces, loop_transpose, spaces_upto
 from limhyper import (
     AxiomViolation,
     BudgetExceeded,
@@ -15,7 +14,6 @@ from limhyper import (
     enumerate_topologies,
     from_preorder,
     is_T0,
-    parse_space,
     is_connected,
     min_nbhd,
     separated_points,
@@ -40,8 +38,7 @@ from limhyper.finspace import (
     transpose,
     union_of,
 )
-
-BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
+from limhyper.oracle import clopen_scan_is_connected, closure_oracle, pairwise_separated
 
 
 # ---------------------------------------------------------------- oracles
@@ -59,69 +56,16 @@ def brute_force_topologies(n):
     return sorted(set(out))
 
 
-def closure_oracle(space, s):
-    """Intersection of every closed superset, straight from the definition."""
-    out = space.full
-    for u in space.opens:
-        c = space.full ^ u
-        if not s & ~c:
-            out &= c
-    return out
-
-
-def separated_oracle(space):
-    """Brute force over open pairs."""
-    out = 0
-    for y in range(space.n):
-        cl = closure_oracle(space, 1 << y)
-        ok = True
-        for z in bits(space.full & ~cl):
-            if not any(
-                (u >> y) & 1 and (v >> z) & 1 and not u & v
-                for u in space.opens
-                for v in space.opens
-            ):
-                ok = False
-                break
-        if ok:
-            out |= 1 << y
-    return out
-
-
-def spaces_upto(n_max):
-    for n in range(n_max + 1):
-        yield from enumerate_topologies(n)
-
-
-# ------------------------------------------- replaced bodies, as references
-
-def open_scan_closure(space, s):
-    """``closure``'s former body: the complement of the union of every open
-    disjoint from s, the largest open avoiding it."""
-    avoid = 0
-    for u in space.opens:
-        if not u & s:
-            avoid |= u
-    return space.full & ~avoid
-
-
-def clopen_scan_is_connected(space):
-    """``is_connected``'s former body: no open other than the empty set and
-    the ground set has an open complement."""
-    fam = set(space.opens)
-    full = space.full
-    return not any(u not in (0, full) and (full ^ u) in fam for u in space.opens)
-
-
-def pairwise_separated_points(space):
-    """``separated_points``' former body: y is separated when its minimal
-    neighborhood misses that of every z outside cl{y}, one z at a time."""
-    mins = space.rows
-    out = 0
-    for y, cl in enumerate(loop_transpose(mins, space.n)):
-        if all(not mins[y] & mins[z] for z in bits(space.full & ~cl)):
-            out |= 1 << y
-    return out
+def separated_by_open_pairs(space, y):
+    """Separation of the point y as first defined: for every z outside
+    cl{y} some open around y misses some open around z. Quadratic in the
+    opens; the test of ``oracle.pairwise_separated``, which reads only
+    the least opens."""
+    cl = closure_oracle(space, 1 << y)
+    return all(
+        any((u >> y) & 1 and (v >> z) & 1 and not u & v for u in space.opens for v in space.opens)
+        for z in bits(space.full & ~cl)
+    )
 
 
 preorder_pairs = st.integers(1, 4).flatmap(
@@ -246,9 +190,11 @@ def test_closure_examples(sierpinski, three_point):
 
 
 def test_closure_matches_oracle_everywhere():
-    for space in spaces_upto(3):
+    # every subset with n <= 5, n = 0 and the non-closed sets that mining
+    # injects included
+    for space in spaces_upto(5):
         for s in range(space.full + 1):
-            assert closure(space, s) == closure_oracle(space, s)
+            assert closure(space, s) == closure_oracle(space, s), (space, s)
 
 
 def test_closure_properties_exhaustive():
@@ -327,26 +273,28 @@ def test_separated_points_examples(sierpinski, three_point, discrete2):
     assert separated_points(discrete2) == 0b11
 
 
+def test_separated_points_matches_oracle():
+    # separated_points and the pairwise oracle, which reads only minimal
+    # neighborhoods, against the definition over pairs of opens, on every
+    # space with n <= 3
+    for space in spaces_upto(3):
+        literal = [separated_by_open_pairs(space, y) for y in range(space.n)]
+        assert [pairwise_separated(space.rows, y) for y in range(space.n)] == literal, space
+        assert separated_points(space) == mask_of(y for y, sep in enumerate(literal) if sep), space
+
+
 def test_closures_match_closure_of_each_point():
     for space in [*spaces_upto(5), *bench_doc_spaces()]:
         assert space.closures == loop_transpose(space.rows, space.n)
-        assert space.closures == tuple(open_scan_closure(space, 1 << x) for x in range(space.n))
-
-
-def test_separated_points_matches_oracle():
-    for space in spaces_upto(3):
-        assert separated_points(space) == separated_oracle(space)
+        assert space.closures == tuple(closure_oracle(space, 1 << x) for x in range(space.n))
 
 
 def test_closure_matches_open_scan():
-    # every subset with n <= 4; every singleton and closed set with n = 5
-    # and in the four benchmark documents
-    for space in spaces_upto(4):
-        for s in range(space.full + 1):
-            assert closure(space, s) == open_scan_closure(space, s), (space, s)
-    for space in [*enumerate_topologies(5), *bench_doc_spaces()]:
+    # every singleton and closed set of the four benchmark documents, where
+    # the oracle scans up to 256 opens for the closed supersets
+    for space in bench_doc_spaces():
         for s in {1 << x for x in range(space.n)} | set(closed_sets(space)):
-            assert closure(space, s) == open_scan_closure(space, s), (space, s)
+            assert closure(space, s) == closure_oracle(space, s), (space, s)
 
 
 def test_closure_rejects_sets_outside_the_ground_set(sierpinski):
@@ -359,7 +307,7 @@ def test_connected_and_separated_match_their_scans():
     # every space with n <= 5, n = 0 included, and the four documents
     for space in [*spaces_upto(5), *bench_doc_spaces()]:
         assert is_connected(space) == clopen_scan_is_connected(space), space
-        assert separated_points(space) == pairwise_separated_points(space), space
+        assert separated_points(space) == mask_of(y for y in range(space.n) if pairwise_separated(space.rows, y)), space
 
 
 def random_table(rng, k):
@@ -399,8 +347,7 @@ def test_table_operations_match_naive_loops():
                         reached.add(b)
                         stack.append(b)
             assert component(rows, cols, i) == mask_of(reached), (rows, i)
-            outside = [z for z in range(k) if not (rows[z] >> i) & 1]
-            assert is_separated(rows, cols, i) == all(not rows[i] & rows[z] for z in outside), (rows, i)
+            assert is_separated(rows, cols, i) == pairwise_separated(rows, i), (rows, i)
 
 
 # ----------------------------------------------------------- preorder side
@@ -440,10 +387,9 @@ def test_space_from_rows_matches_subset_unions():
             assert _space_from_rows(n, rows) == subset_union_space(n, rows)
             tables += 1
     assert tables == 1 + 1 + 4 + 29 + 355
-    for name in ("chain16", "bipartite10"):
-        space = parse_space((BENCH_DOCS / f"{name}.json").read_text()).space
+    for space in bench_doc_spaces():
         want = subset_union_space(space.n, space.rows)
-        assert space == want == _space_from_rows(space.n, space.rows), name
+        assert space == want == _space_from_rows(space.n, space.rows), space.n
 
 
 def test_preorder_round_trip_on_enumeration():

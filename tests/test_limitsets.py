@@ -1,11 +1,10 @@
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bench_doc_spaces
+from conftest import bench_doc_spaces, spaces_upto
 from limhyper import (
     BudgetExceeded,
     GroundMismatch,
@@ -17,21 +16,13 @@ from limhyper import (
     eta,
     from_preorder,
     is_limit_set,
-    is_limit_set_oracle,
     limit_witness,
     min_nbhd,
-    parse_space,
     validate_topology,
 )
-from limhyper.finspace import bits, canonical_key, closed_sets, mask_of
+from limhyper.finspace import bits, canonical_key, mask_of
 from limhyper.limitsets import CARRIER_KINDS
-
-BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
-
-
-def spaces_upto(n_max):
-    for n in range(n_max + 1):
-        yield from enumerate_topologies(n)
+from limhyper.oracle import is_limit_set_oracle
 
 
 def test_is_limit_set_examples(sierpinski, discrete2):
@@ -74,8 +65,7 @@ def meet_of_meeting_opens_scan(space, l):
 def test_fast_equals_opens_scan_on_benchmark_documents():
     # every subset of each document; the oracle's subfamily search is out of
     # reach on these, the scan over all opens is not
-    for name in ("discrete7", "discrete8", "chain16", "bipartite10"):
-        space = parse_space((BENCH_DOCS / f"{name}.json").read_text()).space
+    for space in bench_doc_spaces():
         for l in range(space.full + 1):
             meet = meet_of_meeting_opens_scan(space, l)
             assert is_limit_set(space, l) == (meet != 0)
@@ -141,22 +131,29 @@ def test_carrier_kinds_and_index(sierpinski):
 
 
 def test_carrier_structure_invariants():
-    for space in spaces_upto(3):
-        l = carrier(space, "L")
-        lp = carrier(space, "Lprime")
-        fp = carrier(space, "Fprime")
-        ml = carrier(space, "ML")
-        assert set(lp.elements) == set(l.elements) & set(fp.elements)
-        assert set(ml.elements) <= set(lp.elements)
-        # every closed limit set sits inside some maximal one
-        for a in l.elements:
-            if space.n:
-                assert any(not a & ~m for m in ml.elements)
-        # maximal elements are pairwise incomparable
-        for a in ml.elements:
-            for b in ml.elements:
-                if a != b:
-                    assert a & ~b
+    # every space with n <= 5 and the four benchmark documents, each
+    # carrier against its definition in canonical order: F the closed sets,
+    # L those that are limit sets, the primed kinds without the empty set,
+    # and ML an antichain of nonempty limit sets with every nonempty closed
+    # limit set under one of its members, which makes it the set of the
+    # maximal ones; ``carrier`` hands out the carrier ``carriers`` builds,
+    # checked for one kind per space in turn, as each call builds all five
+    for i, space in enumerate([*spaces_upto(5), *bench_doc_spaces()]):
+        built = carriers(space)
+        assert tuple(built) == CARRIER_KINDS
+        assert all((car.space, car.kind) == (space, kind) for kind, car in built.items())
+        kind = CARRIER_KINDS[i % len(CARRIER_KINDS)]
+        assert carrier(space, kind) == built[kind]
+        closed = tuple(sorted((space.full ^ u for u in space.opens), key=canonical_key))
+        limits = tuple(c for c in closed if is_limit_set(space, c))
+        nonempty = tuple(c for c in limits if c)
+        assert [built[kind].elements for kind in CARRIER_KINDS[:4]] == [
+            closed, tuple(c for c in closed if c), limits, nonempty
+        ], space
+        ml = built["ML"].elements
+        assert ml == tuple(sorted(set(ml), key=canonical_key)) and set(ml) <= set(nonempty)
+        assert all(a == b or a & ~b for a in ml for b in ml), space
+        assert all(any(not a & ~m for m in ml) for a in nonempty), space
 
 
 def test_eta_examples(sierpinski, three_point, discrete2):
@@ -171,51 +168,15 @@ def test_eta_rejects_points_outside_the_ground_set(sierpinski):
             eta(sierpinski, x)
 
 
-def per_kind_carrier(space, kind):
-    """``carrier``'s body before ``carriers`` built the five kinds in one
-    pass: each kind sorts the closed sets and tests the limit predicate on
-    its own, and ML compares every pair of nonempty limit sets; kept as
-    the reference for ``carriers``."""
-    closed = closed_sets(space)
-    if kind == "F":
-        elems = closed
-    elif kind == "Fprime":
-        elems = tuple(c for c in closed if c)
-    else:
-        limits = tuple(c for c in closed if is_limit_set(space, c))
-        if kind == "L":
-            elems = limits
-        elif kind == "Lprime":
-            elems = tuple(c for c in limits if c)
-        else:
-            nonempty = [c for c in limits if c]
-            elems = tuple(
-                c for c in nonempty
-                if not any(d != c and c & ~d == 0 for d in nonempty)
-            )
-    return tuple(sorted(elems, key=canonical_key))
-
-
-def test_carriers_match_per_kind_reference():
-    # every space with n <= 5 and the four benchmark documents, element
-    # order included; ``carrier`` hands out the same carrier
-    for space in [*spaces_upto(5), *bench_doc_spaces()]:
-        built = carriers(space)
-        assert tuple(built) == CARRIER_KINDS
-        for kind, car in built.items():
-            assert (car.space, car.kind) == (space, kind)
-            assert car.elements == per_kind_carrier(space, kind), (space, kind)
-            assert carrier(space, kind) == car
-
-
 def test_carrier_tables_match_definitions(carrier_corpus):
     # honest carriers with n <= 5 and of the documents, corrupted ones
     # with n <= 4; each table against its definition, pair by pair
+    # (``supersets`` is compared with ``oracle.inclusion_relation`` in
+    # tests/test_hyperspace.py)
     for car in carrier_corpus:
         elems = car.elements
         assert car.near == tuple(mask_of(i for i, m in enumerate(elems) if m & row) for row in car.space.rows)
         assert car.subsets == tuple(mask_of(j for j, b in enumerate(elems) if not b & ~a) for a in elems)
-        assert car.supersets == tuple(mask_of(j for j, b in enumerate(elems) if not a & ~b) for a in elems)
 
 
 def test_eta_lands_in_lprime():

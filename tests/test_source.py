@@ -36,6 +36,26 @@ def test_library_imports_no_random_module():
     assert offenders == []
 
 
+def test_decision_modules_do_not_import_the_oracle():
+    # the literal definitions are references for the tests; a check that
+    # read one would be compared against itself
+    modules = sorted(path for path in SRC.glob("*.py") if path.name not in ("__init__.py", "oracle.py"))
+    assert "theorems.py" in [path.name for path in modules]
+    offenders = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any("oracle" in name.split(".") for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_library_imports_only_names_it_uses():
     # a name imported and never read is dead weight left by a deletion;
     # __init__.py imports its exports, and __future__ imports are flags
