@@ -14,7 +14,7 @@ import sys
 from functools import cache
 
 from .errors import AxiomViolation, LimHyperError, ParseError
-from .finspace import bits, digest, separated_points, set_repr
+from .finspace import digest, members, separated_points, set_repr
 from .hyperspace import FLAVORS, EvPerSeq, build_topology, is_separated_in, seq_limits
 from .limitsets import CARRIER_KINDS, carrier, carriers
 from .spaceio import LabeledSpace, emit_report, parse_point_set, parse_space
@@ -66,8 +66,8 @@ def _cmd_report(args) -> int:
     # order, so joining names by index prints what family_repr would
     names = [set_repr(m, labels) for m in car.elements]
     for i, m in enumerate(car.elements):
-        nbhd = " ".join(names[j] for j in bits(top.rows[i]))
-        clo = " ".join(names[j] for j in bits(top.cols[i]))
+        nbhd = " ".join(members(names, top.rows[i]))
+        clo = " ".join(members(names, top.cols[i]))
         is_ml = "yes" if m in ml else "no"
         sep = "yes" if is_separated_in(top, i) else "no"
         print(f"{names[i]}: min_nbhd=[{nbhd}] closure=[{clo}] ml={is_ml} separated={sep}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
 
 from .errors import AxiomViolation, BudgetExceeded, GroundMismatch, InvariantViolation
@@ -98,9 +99,29 @@ def is_separated(rows: Sequence[int], cols: Sequence[int], i: int) -> bool:
     return not union_of(cols, rows[i]) & ~cols[i]
 
 
+_FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def flags(mask: int) -> bytes:
+    """One byte per bit of a nonnegative mask, lowest first: 1 for a
+    member, 0 otherwise. ``compress(names, flags(mask))`` then picks the
+    members' names in one C pass."""
+    return bin(mask)[:1:-1].encode().translate(_FLAG_BYTES)
+
+
+def members(names: Sequence[str], mask: int) -> Iterable[str]:
+    """``names[i]`` for each bit i of a nonnegative mask, lowest first.
+    The ``flags`` pass costs O(width), so a mask with fewer than one
+    member per 32 bits of width, such as a row of a discrete table, is
+    read bit by bit instead."""
+    if mask.bit_count() * 32 < mask.bit_length():
+        return [names[i] for i in bits(mask)]
+    return compress(names, flags(mask))
+
+
 def set_repr(mask: int, labels: tuple[str, ...] | None = None) -> str:
     """Render a bitmask as ``{0,2}``, or with point labels as ``{a,c}``."""
-    return "{" + ",".join(labels[p] if labels else str(p) for p in bits(mask)) + "}"
+    return "{" + ",".join(compress(labels or map(str, count()), flags(mask))) + "}"
 
 
 def family_repr(masks: Iterable[int], labels: tuple[str, ...] | None = None) -> str:

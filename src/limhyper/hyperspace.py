@@ -32,8 +32,9 @@ class HyperTopology:
 
     ``rows[i]`` is the bitmask of the carrier indices inside the least
     open neighborhood of element i; it is the one stored table. ``cols``
-    is its transpose, derived on first use: ``cols[j]`` holds
-    {i : j in rows[i]}, the closure of element j.
+    is its transpose, derived on first use unless ``build_topology``
+    already holds it: ``cols[j]`` holds {i : j in rows[i]}, the closure of
+    element j.
     """
 
     carrier: HyperCarrier
@@ -51,7 +52,9 @@ class HyperTopology:
     def open_rows(self) -> int:
         """Mask of the indices i whose row is open: rows[j] lies inside
         rows[i] for every j in rows[i]. Every row of a topology's table is
-        open; a table that is not transitive has rows that are not."""
+        open; a table that is not transitive has rows that are not.
+        ``build_topology`` records the full mask for its tables, so only a
+        table built directly is scanned."""
         rows = self.rows
         return mask_of(i for i, row in enumerate(rows) if not any(rows[j] & ~row for j in bits(row)))
 
@@ -89,15 +92,37 @@ def build_topology(car: HyperCarrier, flavor: str) -> HyperTopology:
     subset of A: the union of the compacts disjoint from A is the
     complement of A, so the tightest miss constraint around A is exactly
     that complement, and the row is ANDed with ``car.subsets[i]``.
+
+    When every element is closed, which holds exactly when ``car.near``
+    equals ``car.holding`` (a closed set meets min_nbhd(x) only if it
+    holds x), B meets min_nbhd(x) iff x is in B, so the tau_w row of A is
+    ``car.supersets[i]``, its columns are ``car.subsets`` and the tau_s
+    row is ``supersets[i] & subsets[i]``, the elements equal to A: tau_w
+    is inclusion and tau_s is discrete.
+
+    Every table built here is reflexive and transitive, so ``open_rows``
+    is recorded as the full mask instead of scanned. B lies in the tau_w
+    row of A exactly when A is inside cl(B), as x is in cl(B) iff B meets
+    min_nbhd(x). A is inside cl(A), and A inside cl(B) and B inside cl(C)
+    give cl(B) inside cl(C), so A is inside cl(C). The tau_s table meets
+    this preorder with inclusion, another preorder, and the meet of two
+    preorders is one.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected 'w' or 's'")
-    near = car.near
     full_k = (1 << len(car)) - 1
-    rows = [meet_of(near, a, full_k) for a in car.elements]
-    if flavor == "s":
-        rows = [row & sub for row, sub in zip(rows, car.subsets)]
-    return HyperTopology(car, flavor, tuple(rows))
+    if car.near == car.holding:
+        sup, sub = car.supersets, car.subsets
+        rows = sup if flavor == "w" else tuple(a & b for a, b in zip(sup, sub))
+        top = HyperTopology(car, flavor, rows)
+        top.__dict__["cols"] = sub if flavor == "w" else rows
+    else:
+        rows = [meet_of(car.near, a, full_k) for a in car.elements]
+        if flavor == "s":
+            rows = [row & sub for row, sub in zip(rows, car.subsets)]
+        top = HyperTopology(car, flavor, tuple(rows))
+    top.__dict__["open_rows"] = full_k
+    return top
 
 
 def hyper_closure(top: HyperTopology, s: int) -> int:

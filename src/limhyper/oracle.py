@@ -5,11 +5,11 @@ Each function states its object as the paper and its sources define it:
 closure as the meet of the closed supersets, limit sets by quantifying
 over families of opens, the minimal neighborhoods of tau_w and tau_s as
 the meet of Michael's hit sets and Fell's miss sets, convergence one
-ordered cycle and one target at a time, and so on. Nothing here is fast,
-and no verdict reads it: the decision modules (``finspace``,
-``limitsets``, ``hyperspace``, ``theorems``, ``spaceio``, ``cli``) never
-import this module, so a closed form can never be checked against
-itself.
+ordered cycle and one target at a time, a point set written one point
+at a time, and so on. Nothing here is fast, and no verdict reads it: the
+decision modules (``finspace``, ``limitsets``, ``hyperspace``,
+``theorems``, ``spaceio``, ``cli``) never import this module, so a
+closed form can never be checked against itself.
 """
 
 from __future__ import annotations
@@ -83,6 +83,24 @@ def clopen_scan_is_connected(space: FinTopSpace) -> bool:
     fam = set(space.opens)
     full = space.full
     return not any(u not in (0, full) and (full ^ u) in fam for u in space.opens)
+
+
+# ---------------------------------------------------------- formatting
+
+
+def set_repr_oracle(mask: int, n: int, labels: tuple[str, ...] | None = None) -> str:
+    """A point set of an n-point space written out point by point: each
+    point p of ``range(n)`` in turn, named by its label or its number
+    when its bit is set, as ``{0,2}`` or ``{a,c}``."""
+    names = [labels[p] if labels else str(p) for p in range(n) if (mask >> p) & 1]
+    return "{" + ",".join(names) + "}"
+
+
+def family_repr_oracle(masks: Iterable[int], n: int, labels: tuple[str, ...] | None = None) -> str:
+    """A family of point sets in canonical order, fewest points first and
+    then by mask value, as ``[{} {a} {a,b}]``."""
+    ordered = sorted(masks, key=lambda m: (sum((m >> p) & 1 for p in range(n)), m))
+    return "[" + " ".join(set_repr_oracle(m, n, labels) for m in ordered) + "]"
 
 
 # ------------------------------------------------ hit sets and miss sets

@@ -66,12 +66,14 @@ def parse_space(text: str) -> LabeledSpace:
     if has_opens == has_preorder:
         raise ParseError("document must carry exactly one of 'opens' or 'preorder'")
 
+    positions = {p: i for i, p in enumerate(labels)}
+
     def label_index(name) -> int:
         if not isinstance(name, str):
             raise ParseError(f"expected a point label, got {name!r}")
         try:
-            return labels.index(name)
-        except ValueError:
+            return positions[name]
+        except KeyError:
             raise ParseError(f"unknown point label {name!r}") from None
 
     if has_opens:

@@ -9,10 +9,10 @@ import pytest
 from conftest import BENCH_DOCS, DOC_NAMES
 from limhyper import EvPerSeq, ParseError, build_topology, carriers, cli, parse_space
 from limhyper.cli import run
-from limhyper.finspace import bits, digest, family_repr, mask_of, set_repr
+from limhyper.finspace import digest, mask_of
 from limhyper.hyperspace import FLAVORS
 from limhyper.limitsets import CARRIER_KINDS
-from limhyper.oracle import pairwise_separated
+from limhyper.oracle import family_repr_oracle, pairwise_separated, set_repr_oracle
 
 SIERPINSKI = '{"points": ["a", "b"], "opens": [[], ["a"], ["a", "b"]]}'
 THREE_POINT = (
@@ -99,17 +99,19 @@ def test_report_matches_reference_formatter_on_benchmark_documents(name, capsys)
     # the report rendered from the definitions: an element's minimal
     # neighborhood is its row of the table, its closure the elements whose
     # row holds it, and separation is pairwise, for the points as for the
-    # elements
+    # elements; every set and family is written by the oracle's point by
+    # point formatter
     path = BENCH_DOCS / f"{name}.json"
     doc = parse_space(path.read_text())
     space, labels = doc.space, doc.labels
+    n = space.n
     cars = carriers(space)
-    separated = mask_of(y for y in range(space.n) if pairwise_separated(space.rows, y))
+    separated = mask_of(y for y in range(n) if pairwise_separated(space.rows, y))
     head = [
-        f"space: n={space.n} digest={digest(space)}",
-        "points: " + set_repr(space.full, labels),
-        "opens: " + " ".join(set_repr(u, labels) for u in space.opens),
-        "separated points: " + set_repr(separated, labels),
+        f"space: n={n} digest={digest(space)}",
+        "points: " + set_repr_oracle(space.full, n, labels),
+        "opens: " + " ".join(set_repr_oracle(u, n, labels) for u in space.opens),
+        "separated points: " + set_repr_oracle(separated, n, labels),
     ]
     for kind in CARRIER_KINDS:
         elems = cars[kind].elements
@@ -117,11 +119,11 @@ def test_report_matches_reference_formatter_on_benchmark_documents(name, capsys)
             rows = build_topology(cars[kind], flavor).rows
             lines = head + [f"carrier: {kind}  topology: tau_{flavor}  elements: {len(elems)}"]
             for i, m in enumerate(elems):
-                nbhd = family_repr((elems[j] for j in bits(rows[i])), labels)
-                clo = family_repr((b for b, row in zip(elems, rows) if (row >> i) & 1), labels)
+                nbhd = family_repr_oracle((b for j, b in enumerate(elems) if (rows[i] >> j) & 1), n, labels)
+                clo = family_repr_oracle((b for b, row in zip(elems, rows) if (row >> i) & 1), n, labels)
                 is_ml = "yes" if m in cars["ML"].elements else "no"
                 sep = "yes" if pairwise_separated(rows, i) else "no"
-                lines.append(f"{set_repr(m, labels)}: min_nbhd={nbhd} closure={clo} ml={is_ml} separated={sep}")
+                lines.append(f"{set_repr_oracle(m, n, labels)}: min_nbhd={nbhd} closure={clo} ml={is_ml} separated={sep}")
             assert run(["report", str(path), "--carrier", kind, "--topology", flavor]) == 0
             got, want = capsys.readouterr().out, "\n".join(lines) + "\n"
             # a bare bool keeps pytest from diffing hundreds of long lines

@@ -28,7 +28,9 @@ from limhyper.finspace import (
     canonical_key,
     component,
     digest,
+    family_repr,
     full_mask,
+    members,
     is_separated,
     mask_of,
     meet_of,
@@ -38,7 +40,13 @@ from limhyper.finspace import (
     transpose,
     union_of,
 )
-from limhyper.oracle import clopen_scan_is_connected, closure_oracle, pairwise_separated
+from limhyper.oracle import (
+    clopen_scan_is_connected,
+    closure_oracle,
+    family_repr_oracle,
+    pairwise_separated,
+    set_repr_oracle,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -455,3 +463,40 @@ def test_enumerate_budget():
 def test_digest_is_stable(sierpinski):
     assert digest(sierpinski) == digest(validate_topology(2, [3, 1, 0]))
     assert digest(sierpinski) != digest(validate_topology(2, [0, 2, 3]))
+
+
+def test_formatters_match_the_point_by_point_formatter():
+    # every mask of every space with n <= 10, numbered and labeled, then a
+    # seeded sample of 16-point masks; each family is the mask with three
+    # masks derived from it, out of canonical order and possibly repeated,
+    # and for n <= 10 the whole power set listed backwards
+    rng = random.Random(16)
+    cases = [(n, m) for n in range(11) for m in range(1 << n)]
+    cases += [(16, m) for m in (0, full_mask(16), *rng.sample(range(1 << 16), 1000))]
+    for n in range(11):
+        labels = tuple(f"q{n - p}" for p in range(n))
+        power_set = range((1 << n) - 1, -1, -1)
+        for names in (None, labels):
+            assert family_repr(power_set, names) == family_repr_oracle(power_set, n, names)
+    for n, m in cases:
+        labels = tuple(f"q{n - p}" for p in range(n))
+        family = (m, full_mask(n) ^ m, m >> 1, m & -m)
+        for names in (None, labels):
+            assert set_repr(m, names) == set_repr_oracle(m, n, names), (n, m, names)
+            assert family_repr(family, names) == family_repr_oracle(family, n, names), (n, m, names)
+
+
+def test_members_reads_sparse_and_dense_masks_alike():
+    # widths around the 32-bits-per-member switch between the bit by bit
+    # read and the flags pass, from one member to all of them
+    rng = random.Random(32)
+    for width in (1, 31, 32, 33, 64, 300):
+        names = [f"e{i}" for i in range(width)]
+        for count in sorted({1, 2, width // 32, width // 32 + 1, width // 2, width} - {0}):
+            for _ in range(20):
+                mask = 1 << (width - 1)
+                for i in rng.sample(range(width), min(count - 1, width)):
+                    mask |= 1 << i
+                want = [names[i] for i in range(width) if (mask >> i) & 1]
+                assert list(members(names, mask)) == want, (width, mask)
+    assert list(members(["a"], 0)) == []

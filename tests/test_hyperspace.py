@@ -14,6 +14,7 @@ from limhyper import (
     build_topology,
     carrier,
     carriers,
+    closed_sets,
     enumerate_topologies,
     eta,
     hyper_closure,
@@ -99,10 +100,32 @@ def test_build_topology_and_inclusion_relation_match_reference_bodies(carrier_co
     # every five-point F carrier. F holds every closed set and the other
     # kinds are subfamilies of it, which acceptance 3 and the corrupted
     # carriers cover up to four points; the other five-point tables would
-    # add about 6 s, the tau_s side visiting all 32 subsets per element
-    compared = 0
+    # add about 6 s, the tau_s side visiting all 32 subsets per element.
+    # A carrier of closed sets, every honest one and the corrupted ones
+    # that stay closed, takes its tables from inclusion: tau_w is the
+    # inclusion relation (its closures, the subsets, are its transpose,
+    # which test_cols_and_holding_match_the_transpose_loop checks) and
+    # tau_s is equality; a carrier with a non-closed element is told apart
+    # by near != holding and keeps the general closed form
+    spaces = [*spaces_upto(5), *bench_doc_spaces()]
+    closed = {space: set(closed_sets(space)) for space in spaces}
+    compared = from_inclusion = 0
     for car in carrier_corpus:
-        assert car.supersets == inclusion_relation(car), car
+        elems = car.elements
+        sup = inclusion_relation(car)
+        assert car.supersets == sup, car
+        if closed[car.space].issuperset(elems):
+            assert car.near == car.holding
+            equal = {}
+            for j, b in enumerate(elems):
+                equal[b] = equal.get(b, 0) | 1 << j
+            equal = tuple(equal[a] for a in elems)
+            assert build_topology(car, "w").rows == sup, car
+            ts = build_topology(car, "s")
+            assert (ts.rows, ts.cols) == (equal, equal), car
+            from_inclusion += 1
+        else:
+            assert car.near != car.holding
         if car.space.n > 5:
             flavors = FLAVORS
         elif car.space.n == 5 and car.kind == "F":
@@ -114,6 +137,19 @@ def test_build_topology_and_inclusion_relation_match_reference_bodies(carrier_co
             assert rows == tuple(min_nbhd_oracle(car, flavor, a) for a in car.elements), (car, flavor)
             compared += len(rows)
     assert compared > 60000
+    # the honest carriers, five per space, and closed corrupted ones
+    assert from_inclusion > len(CARRIER_KINDS) * len(spaces)
+
+
+def test_build_topology_records_the_open_rows_a_scan_finds(carrier_corpus):
+    # every table build_topology returns is reflexive and transitive, on
+    # honest and corrupted carriers alike, non-closed elements included, so
+    # the full mask it records is what scanning a fresh copy finds
+    for car in carrier_corpus:
+        for flavor in FLAVORS:
+            t = build_topology(car, flavor)
+            assert t.__dict__["open_rows"] == (1 << len(car)) - 1
+            assert t.open_rows == HyperTopology(car, flavor, t.rows).open_rows, (car, flavor)
 
 
 def test_cols_and_holding_match_the_transpose_loop(carrier_corpus):

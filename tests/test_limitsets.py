@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +10,6 @@ from limhyper import (
     carrier,
     carriers,
     closure,
-    enumerate_topologies,
     eta,
     from_preorder,
     is_limit_set,
@@ -70,15 +67,6 @@ def test_fast_equals_opens_scan_on_benchmark_documents():
             meet = meet_of_meeting_opens_scan(space, l)
             assert is_limit_set(space, l) == (meet != 0)
             assert limit_witness(space, l) == (next(bits(meet)) if meet else None)
-
-
-def test_fast_equals_oracle_sampled_n4():
-    rng = random.Random(404)
-    spaces = list(enumerate_topologies(4))
-    for _ in range(1000):
-        space = spaces[rng.randrange(len(spaces))]
-        l = rng.randrange(space.full + 1)
-        assert is_limit_set(space, l) == is_limit_set_oracle(space, l)
 
 
 def test_limit_witness_examples(sierpinski, three_point, discrete2):

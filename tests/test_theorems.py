@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 from dataclasses import replace
 from types import SimpleNamespace
@@ -380,6 +382,26 @@ def test_conv_props_mining_witnesses_are_golden(
     for name, space in spaces.items():
         hit = mine_check_failures(space)["check_conv_props"]
         assert (hit.description, hit.result.witness) == GOLDEN_CONV_MINING[name], name
+
+
+# sha256 of every mining hit on the spaces with n <= 4, one JSON line per
+# hit: space digest, check, corruption, status, witness and notes
+GOLDEN_MINING_SHA256 = "591093d3904b29be71dfd9a56ff18b599fbffe2d7b7127b29ee347bd99d8fe04"
+
+
+def test_every_mining_hit_is_golden():
+    # all 4240 hits of all twelve checks, byte for byte: a change in which
+    # corruption a check catches first, or in what it reports, moves the
+    # hash
+    h = hashlib.sha256()
+    hits = 0
+    for space in spaces_upto(4):
+        for cid, hit in mine_check_failures(space).items():
+            r = hit.result
+            line = [digest(space), cid, hit.description, r.status, r.witness, r.notes]
+            h.update(json.dumps(line).encode() + b"\n")
+            hits += 1
+    assert (hits, h.hexdigest()) == (4240, GOLDEN_MINING_SHA256)
 
 
 def test_sequence_and_product_checks_are_exact():
