@@ -120,7 +120,11 @@ def members(names: Sequence[str], mask: int) -> Iterable[str]:
 
 
 def set_repr(mask: int, labels: tuple[str, ...] | None = None) -> str:
-    """Render a bitmask as ``{0,2}``, or with point labels as ``{a,c}``."""
+    """Render a bitmask as ``{0,2}``, or with point labels as ``{a,c}``.
+    A negative int names no set, and ``bin`` would read its magnitude, so
+    it raises ``ValueError``."""
+    if mask < 0:
+        raise ValueError(f"a point set is a nonnegative mask, got {mask}")
     return "{" + ",".join(compress(labels or map(str, count()), flags(mask))) + "}"
 
 

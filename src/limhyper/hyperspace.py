@@ -93,12 +93,12 @@ def build_topology(car: HyperCarrier, flavor: str) -> HyperTopology:
     complement of A, so the tightest miss constraint around A is exactly
     that complement, and the row is ANDed with ``car.subsets[i]``.
 
-    When every element is closed, which holds exactly when ``car.near``
-    equals ``car.holding`` (a closed set meets min_nbhd(x) only if it
-    holds x), B meets min_nbhd(x) iff x is in B, so the tau_w row of A is
-    ``car.supersets[i]``, its columns are ``car.subsets`` and the tau_s
-    row is ``supersets[i] & subsets[i]``, the elements equal to A: tau_w
-    is inclusion and tau_s is discrete.
+    When every element is closed (``car.closed``: ``carriers`` records it,
+    and any other carrier decides it as ``near == holding``, since a closed
+    set meets min_nbhd(x) only if it holds x), B meets min_nbhd(x) iff x
+    is in B, so the tau_w row of A is ``car.supersets[i]``, its columns are
+    ``car.subsets`` and the tau_s row is ``supersets[i] & subsets[i]``,
+    the elements equal to A: tau_w is inclusion and tau_s is discrete.
 
     Every table built here is reflexive and transitive, so ``open_rows``
     is recorded as the full mask instead of scanned. B lies in the tau_w
@@ -111,7 +111,7 @@ def build_topology(car: HyperCarrier, flavor: str) -> HyperTopology:
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected 'w' or 's'")
     full_k = (1 << len(car)) - 1
-    if car.near == car.holding:
+    if car.closed:
         sup, sub = car.supersets, car.subsets
         rows = sup if flavor == "w" else tuple(a & b for a, b in zip(sup, sub))
         top = HyperTopology(car, flavor, rows)

@@ -11,7 +11,7 @@ subfamilies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import GroundMismatch, NotInCarrier
@@ -25,11 +25,36 @@ class HyperCarrier:
 
     Elements are canonically ordered (cardinality, then mask), so carrier
     indices are stable across runs.
+
+    ``base`` is a carrier of the same space whose elements are this one's,
+    or this one's behind a leading empty set; ``holding``, ``subsets`` and
+    ``supersets`` are then read off base's tables instead of computed. The
+    empty set holds no point and lies inside every set, so dropping it
+    drops base's first row and bit 0 of every row: each row shifts right
+    one bit, and ``holding``, one row per point, keeps all its rows.
     """
 
     space: FinTopSpace
     kind: str
     elements: tuple[int, ...]
+    base: HyperCarrier | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        base = self.base
+        if base is None:
+            return
+        elems = base.elements
+        if base.space != self.space or not (
+            elems == self.elements or elems[:1] == (0,) and elems[1:] == self.elements
+        ):
+            raise ValueError(f"carrier {base.kind} holds neither the elements of {self.kind} nor the empty set before them")
+
+    def _from_base(self, rows: tuple[int, ...]) -> tuple[int, ...]:
+        # base's per-element table: the same tuple, or without its first row
+        # and bit 0 when base leads with the empty set
+        if len(rows) == len(self.elements):
+            return rows
+        return tuple(row >> 1 for row in rows[1:])
 
     @cached_property
     def _positions(self) -> dict[int, int]:
@@ -40,7 +65,12 @@ class HyperCarrier:
     def holding(self) -> tuple[int, ...]:
         """``holding[x]``: mask of the carrier indices whose element holds x,
         the transpose of the elements."""
-        return transpose(self.elements, self.space.n)
+        base = self.base
+        if base is None:
+            return transpose(self.elements, self.space.n)
+        if len(base.elements) == len(self.elements):
+            return base.holding
+        return tuple(row >> 1 for row in base.holding)
 
     def meeting(self, points: int) -> int:
         """Mask of the carrier indices whose element meets ``points``."""
@@ -53,9 +83,18 @@ class HyperCarrier:
         return tuple(self.meeting(row) for row in self.space.rows)
 
     @cached_property
+    def closed(self) -> bool:
+        """Whether every element is closed. A closed set meets min_nbhd(x)
+        only if it holds x, so this is ``near == holding``; ``carriers``
+        records it without building ``near``."""
+        return self.near == self.holding
+
+    @cached_property
     def subsets(self) -> tuple[int, ...]:
         """``subsets[i]``: mask of the carrier indices whose element lies
         inside element i, the elements missing every point outside it."""
+        if self.base is not None:
+            return self._from_base(self.base.subsets)
         full_k = (1 << len(self.elements)) - 1
         full = self.space.full
         return tuple(full_k & ~self.meeting(full & ~a) for a in self.elements)
@@ -64,6 +103,8 @@ class HyperCarrier:
     def supersets(self) -> tuple[int, ...]:
         """``supersets[i]``: mask of the carrier indices whose element
         contains element i, the elements holding each of its points."""
+        if self.base is not None:
+            return self._from_base(self.base.supersets)
         full_k = (1 << len(self.elements)) - 1
         return tuple(meet_of(self.holding, a, full_k) for a in self.elements)
 
@@ -71,7 +112,8 @@ class HyperCarrier:
         try:
             return self._positions[mask]
         except KeyError:
-            raise NotInCarrier(f"{set_repr(mask)} is not an element of carrier {self.kind}") from None
+            name = set_repr(mask) if mask >= 0 else str(mask)
+            raise NotInCarrier(f"{name} is not an element of carrier {self.kind}") from None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -118,6 +160,13 @@ def carriers(space: FinTopSpace) -> dict[str, HyperCarrier]:
     a limit set is again one, so they are maximal among all limit sets.
     Scanned from the largest down, a set is maximal when no maximal set
     found so far contains it, as a strict superset lies under one of those.
+
+    The empty set comes first in canonical order, so Fprime takes its
+    tables from F, L from F when every closed set is a limit set, and
+    Lprime from Fprime then, else from L (``HyperCarrier.base``); the
+    tables are built on first use. Every element is the complement of an
+    open, so each carrier records ``closed``, and ML, an antichain, records
+    the identity as its ``subsets`` and ``supersets``.
     """
     closed = closed_sets(space)
     limits = tuple(c for c in closed if meet_of(space.rows, c, space.full))
@@ -125,8 +174,20 @@ def carriers(space: FinTopSpace) -> dict[str, HyperCarrier]:
     for c in reversed(limits):
         if c and all(c & ~d for d in maximal):
             maximal.append(c)
-    elems = (closed, tuple(c for c in closed if c), limits, tuple(c for c in limits if c), tuple(reversed(maximal)))
-    return {kind: HyperCarrier(space, kind, e) for kind, e in zip(CARRIER_KINDS, elems)}
+    f = HyperCarrier(space, "F", closed)
+    fp = HyperCarrier(space, "Fprime", closed[1:], f)
+    if len(limits) == len(closed):
+        l = HyperCarrier(space, "L", limits, f)
+        lp = HyperCarrier(space, "Lprime", fp.elements, fp)
+    else:
+        l = HyperCarrier(space, "L", limits)
+        lp = HyperCarrier(space, "Lprime", limits[1:], l)
+    ml = HyperCarrier(space, "ML", tuple(reversed(maximal)))
+    identity = tuple(1 << i for i in range(len(maximal)))
+    ml.__dict__.update(subsets=identity, supersets=identity)
+    for car in (f, fp, l, lp, ml):
+        car.__dict__["closed"] = True
+    return dict(zip(CARRIER_KINDS, (f, fp, l, lp, ml)))
 
 
 def carrier(space: FinTopSpace, kind: str) -> HyperCarrier:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -129,6 +130,27 @@ def test_report_matches_reference_formatter_on_benchmark_documents(name, capsys)
             # a bare bool keeps pytest from diffing hundreds of long lines
             same = got == want
             assert same, (kind, flavor, next((p for p in zip(got.splitlines(), want.splitlines()) if p[0] != p[1]), None))
+
+
+# sha256 of what the document commands print, one JSON line per command:
+# document name, command without the file, exit code and stdout
+GOLDEN_DOC_SHA256 = "183ca662a66d64d3c6a7f691b4deab08ba7557a62fb3541c1626de1b782f86c0"
+
+
+def test_document_command_output_is_golden(capsys):
+    # validate, every report, verify and verify --json on the four
+    # documents with their labels in file order, byte for byte: every
+    # report reads the carrier tables, and verify reads them all
+    commands = [["validate"]]
+    commands += [["report", "--carrier", kind, "--topology", flavor] for kind in CARRIER_KINDS for flavor in FLAVORS]
+    commands += [["verify"], ["verify", "--json"]]
+    h = hashlib.sha256()
+    for name in DOC_NAMES:
+        path = str(BENCH_DOCS / f"{name}.json")
+        for command in commands:
+            code = run([command[0], path, *command[1:]])
+            h.update(json.dumps([name, *command, code, capsys.readouterr().out]).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_DOC_SHA256
 
 
 def test_report_builds_the_carriers_once(monkeypatch, capsys):

@@ -486,6 +486,15 @@ def test_formatters_match_the_point_by_point_formatter():
             assert family_repr(family, names) == family_repr_oracle(family, n, names), (n, m, names)
 
 
+def test_set_repr_rejects_negative_masks():
+    # bin(-1) is '-0b1' and bin(-6) is '-0b110': read as flags they named
+    # {0,1} and {1,2,3}
+    for mask in (-1, -6, -(1 << 16)):
+        for names in (None, ("a", "b", "c", "d")):
+            with pytest.raises(ValueError, match=str(mask)):
+                set_repr(mask, names)
+
+
 def test_members_reads_sparse_and_dense_masks_alike():
     # widths around the 32-bits-per-member switch between the bit by bit
     # read and the flags pass, from one member to all of them

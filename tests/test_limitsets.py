@@ -18,7 +18,7 @@ from limhyper import (
     validate_topology,
 )
 from limhyper.finspace import bits, canonical_key, mask_of
-from limhyper.limitsets import CARRIER_KINDS
+from limhyper.limitsets import CARRIER_KINDS, HyperCarrier
 from limhyper.oracle import is_limit_set_oracle
 
 
@@ -114,6 +114,9 @@ def test_carrier_kinds_and_index(sierpinski):
     assert f.index(2) == 1
     with pytest.raises(NotInCarrier):
         f.index(1)
+    # a negative mask is named by its integer, not by the set bin() reads
+    with pytest.raises(NotInCarrier, match=r"^-1 is not an element of carrier F$"):
+        f.index(-1)
     with pytest.raises(ValueError):
         carrier(sierpinski, "XX")
 
@@ -165,6 +168,57 @@ def test_carrier_tables_match_definitions(carrier_corpus):
         elems = car.elements
         assert car.near == tuple(mask_of(i for i, m in enumerate(elems) if m & row) for row in car.space.rows)
         assert car.subsets == tuple(mask_of(j for j, b in enumerate(elems) if not b & ~a) for a in elems)
+
+
+def test_closed_flag_matches_its_definition(carrier_corpus):
+    # every element equal to its closure; ``carriers`` records the flag on
+    # its carriers, a corrupted one computes it from near and holding
+    for car in carrier_corpus:
+        assert car.closed == all(closure(car.space, m) == m for m in car.elements), car
+
+
+def test_carrier_base_must_hold_the_same_elements_or_the_empty_set_before_them(sierpinski, discrete2):
+    f = carrier(sierpinski, "F")  # {} {b} {a,b}
+    assert HyperCarrier(sierpinski, "F", f.elements, f).subsets is f.subsets
+    assert HyperCarrier(sierpinski, "Fprime", f.elements[1:], f).supersets == (0b11, 0b10)
+    bad = [
+        (sierpinski, f.elements[2:]),  # two elements dropped
+        (sierpinski, f.elements[:2]),  # the last one dropped
+        (sierpinski, (0b01, 0b11)),  # same length, other sets
+        (sierpinski, f.elements + (0b01,)),  # longer than the base
+        (discrete2, f.elements),  # another space
+    ]
+    for space, elems in bad:
+        with pytest.raises(ValueError):
+            HyperCarrier(space, "L", elems, f)
+    fp = carrier(sierpinski, "Fprime")
+    with pytest.raises(ValueError):
+        HyperCarrier(sierpinski, "F", f.elements, fp)  # base lacks the empty set this one has
+    ml = carrier(discrete2, "ML")  # {a} {b}: neither leads with the empty set
+    with pytest.raises(ValueError):
+        HyperCarrier(discrete2, "L", ml.elements[1:], ml)
+
+
+def test_carriers_share_tables_along_their_links():
+    # L equals F exactly when every closed set is a limit set; then L and
+    # Lprime hand out F's and Fprime's tuples, and otherwise Lprime derives
+    # from L. ML's tables are the identity, as ML is an antichain
+    equal = total = 0
+    for space in spaces_upto(4):
+        total += 1
+        cars = carriers(space)
+        f, fp, l, lp, ml = (cars[kind] for kind in CARRIER_KINDS)
+        assert fp.base is f
+        if l.elements == f.elements:
+            equal += 1
+            assert l.base is f and lp.base is fp
+            assert l.subsets is f.subsets and l.supersets is f.supersets and l.holding is f.holding
+            assert lp.subsets is fp.subsets
+        else:
+            assert l.base is None and lp.base is l
+        identity = tuple(1 << i for i in range(len(ml)))
+        assert ml.base is None and ml.subsets == ml.supersets == identity
+    assert 0 < equal < total
 
 
 def test_eta_lands_in_lprime():

@@ -11,6 +11,7 @@ from limhyper import (
     BudgetExceeded,
     NotOpen,
     carrier,
+    carriers,
     enumerate_topologies,
     hyper_closure,
     mine_check_failures,
@@ -21,7 +22,7 @@ from limhyper import (
 )
 from limhyper import theorems
 from limhyper.finspace import digest, mask_of, preorder_prefixes
-from limhyper.hyperspace import FLAVORS, build_topology
+from limhyper.hyperspace import FLAVORS, HyperTopology, build_topology
 from limhyper.limitsets import CARRIER_KINDS
 from limhyper.oracle import dense_open_meet_oracle, per_cycle_conv_props, per_open_local_compactness
 from limhyper.spaceio import parse_point_set
@@ -512,6 +513,44 @@ def test_conv_props_single_terms_match_per_set_loop():
     # of terms is one term: every term against every target
     statuses = conv_props_against_oracle([*spaces_upto(4, start=4), *bench_doc_spaces()], ((0, 1),))
     assert set(statuses) == {PROXY, FAIL}
+
+
+def test_conv_props_names_a_target_strictly_above_the_closure(discrete2):
+    # F of the discrete two-point space, {} {a} {b} {a,b}, with its honest
+    # Fell table widened so that {a} lies in the minimal neighborhood of
+    # {a,b}: the constant sequence at {a} Fell-converges to {a,b} too. That
+    # target lies strictly above the closure {a} of the term, where the
+    # selection conditions fail, so the witness reads false there; a
+    # selection mask widened to every superset of the closure would read
+    # true, which no honest or corrupted environment shows
+    cars = carriers(discrete2)
+    f = cars["F"]
+    rows = list(build_topology(f, "s").rows)
+    rows[3] |= 1 << 1
+    env = CheckEnv(discrete2, carriers=cars, topologies={("F", "s"): HyperTopology(f, "s", tuple(rows))})
+    got = check_conv_props(discrete2, env)
+    assert (got.status, got.witness) == (
+        FAIL,
+        (
+            ("cycle", "({a})"),
+            ("target", "{a,b}"),
+            ("fell_convergence", "true"),
+            ("selection_conditions", "false"),
+            ("primitive_characterization", "false"),
+        ),
+    )
+    assert got == per_cycle_conv_props(discrete2, env)
+
+
+def test_checks_never_build_near_on_an_honest_carrier():
+    # every honest carrier records ``closed``, so no table falls back to
+    # the general form that reads ``near``
+    for space in spaces_upto(4, start=1):
+        env = CheckEnv(space)
+        for cid in CHECKS:
+            run_check(cid, space, env)
+        for kind in CARRIER_KINDS:
+            assert "near" not in vars(env.carrier(kind)), (space, kind)
 
 
 def test_carrier_elements_have_distinct_subsets_masks(carrier_corpus):
