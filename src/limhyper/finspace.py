@@ -122,9 +122,12 @@ def members(names: Sequence[str], mask: int) -> Iterable[str]:
 def set_repr(mask: int, labels: tuple[str, ...] | None = None) -> str:
     """Render a bitmask as ``{0,2}``, or with point labels as ``{a,c}``.
     A negative int names no set, and ``bin`` would read its magnitude, so
-    it raises ``ValueError``."""
+    it raises ``ValueError``; so does a mask with a point past its labels,
+    which would have no name."""
     if mask < 0:
         raise ValueError(f"a point set is a nonnegative mask, got {mask}")
+    if labels is not None and mask >> len(labels):
+        raise ValueError(f"mask {mask} has a point past its {len(labels)} labels")
     return "{" + ",".join(compress(labels or map(str, count()), flags(mask))) + "}"
 
 

@@ -3,11 +3,10 @@ that runs them all over a space or an enumeration sweep, and a
 corrupted-carrier exploration mode proving the checks can actually fail.
 
 Checks assert statements, never proof intermediates. Facts that finite
-spaces make automatic (every subset compact, countable intersections
-finite) still go through the generic machinery and are reported with the
-distinct status ``trivially_true`` so they are never confused with
-substantive passes. Sequence-based convergence checks carry the status
-``proxy``.
+spaces make automatic (every subset compact, every preorder space Baire)
+are reported with the distinct status ``trivially_true`` so they are
+never confused with substantive passes. Sequence-based convergence
+checks carry the status ``proxy``.
 """
 
 from __future__ import annotations
@@ -333,18 +332,19 @@ def _not_a_topology_at(t):
     return (bad & -bad).bit_length() - 1 if bad else None
 
 
-def _meet_of_dense_opens(t):
-    """Intersection of all dense opens of a topology's table: the x with
-    some row inside cols[x] = cl{x}. If int(cl{x}) is empty, X - cl{x} is
-    a dense open missing x; else each dense open meets it, so holds x."""
-    return mask_of(x for x, col in enumerate(t.cols) if any(not row & ~col for row in t.rows))
-
-
 def check_baire(space, env):
     """The intersection of all dense open subsets of (L, tau_w),
     (Lprime, tau_w) and (ML, tau_w) is dense: the strongest Baire
-    statement a finite carrier supports, computed rather than assumed.
-    Exact in O(k^2) once the table is checked to be a topology's."""
+    statement a finite carrier supports.
+
+    Once each table is checked to be a topology's, the claim holds on it.
+    Two dense opens U and V meet in a dense open: U & V is open, and a
+    nonempty open W meets U in a nonempty open, which meets V. The dense
+    opens are finitely many, so their intersection is dense too.
+    ``oracle.dense_open_meet_oracle`` computes that intersection from every
+    union of rows; the tests check it is dense wherever the precheck
+    passes.
+    """
     cid = "check_baire"
     sizes = []
     for kind in ("L", "Lprime", "ML"):
@@ -353,16 +353,6 @@ def check_baire(space, env):
         if a is not None:
             return CheckResult(
                 cid, FAIL, witness=(("carrier", kind), ("not_a_topology_at", env.fmt(t.carrier.elements[a])))
-            )
-        inter = _meet_of_dense_opens(t)
-        if not is_dense(t, inter):
-            return CheckResult(
-                cid,
-                FAIL,
-                witness=(
-                    ("carrier", kind),
-                    ("intersection_of_dense_opens", env.fmt_indices(t.carrier, inter)),
-                ),
             )
         sizes.append(f"{kind}={len(t)}")
     return CheckResult(
@@ -643,12 +633,15 @@ def sweep(n: int, long_run: bool = False, jobs: int | None = None) -> SweepResul
         raise ValueError("sweep needs at least one point")
     if n >= 5 and not long_run:
         raise BudgetExceeded("sweep over five points requires the long-run flag")
+    source = "jobs"
     if jobs is None:
-        value = os.environ.get("LH_JOBS", "1")
+        source, value = "LH_JOBS", os.environ.get("LH_JOBS", "1")
         try:
             jobs = int(value)
         except ValueError:
             raise ValueError(f"LH_JOBS must be an integer, got {value!r}") from None
+    if jobs < 1:
+        raise ValueError(f"{source} must be at least 1, got {jobs}")
     t0 = time.perf_counter()
     prefixes = preorder_prefixes(n)
     task = partial(_sweep_task, n)

@@ -198,6 +198,14 @@ def test_sweep_names_a_bad_lh_jobs(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: LH_JOBS must be an integer, got 'two'\n"
 
 
+def test_sweep_refuses_worker_counts_below_one(monkeypatch, capsys):
+    assert run(["sweep", "2", "--jobs", "-4"]) == 2
+    assert capsys.readouterr() == ("", "error: jobs must be at least 1, got -4\n")
+    monkeypatch.setenv("LH_JOBS", "-2")
+    assert run(["sweep", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: LH_JOBS must be at least 1, got -2\n")
+
+
 def test_sweep_five_needs_long_flag(capsys):
     assert run(["sweep", "5"]) == 2
     assert "long-run" in capsys.readouterr().err

@@ -495,6 +495,17 @@ def test_set_repr_rejects_negative_masks():
                 set_repr(mask, names)
 
 
+def test_set_repr_rejects_points_past_its_labels():
+    # compress stopped at the shorter input: these named {} and {a}
+    for mask in (0b100, 0b101, 1 << 40):
+        with pytest.raises(ValueError, match=f"mask {mask} "):
+            set_repr(mask, ("a", "b"))
+    assert set_repr(0b11, ("a", "b")) == "{a,b}"
+    assert set_repr(0b100) == "{2}"
+    with pytest.raises(ValueError, match="mask 1 "):
+        set_repr(1, ())
+
+
 def test_members_reads_sparse_and_dense_masks_alike():
     # widths around the 32-bits-per-member switch between the bit by bit
     # read and the flags pass, from one member to all of them

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 from dataclasses import replace
 from types import SimpleNamespace
@@ -21,8 +22,8 @@ from limhyper import (
     verify_all,
 )
 from limhyper import theorems
-from limhyper.finspace import digest, mask_of, preorder_prefixes
-from limhyper.hyperspace import FLAVORS, HyperTopology, build_topology
+from limhyper.finspace import digest, mask_of, preorder_prefixes, union_of
+from limhyper.hyperspace import FLAVORS, HyperTopology, build_topology, is_dense
 from limhyper.limitsets import CARRIER_KINDS
 from limhyper.oracle import dense_open_meet_oracle, per_cycle_conv_props, per_open_local_compactness
 from limhyper.spaceio import parse_point_set
@@ -34,7 +35,6 @@ from limhyper.theorems import (
     TRIVIALLY_TRUE,
     CheckEnv,
     CheckResult,
-    _meet_of_dense_opens,
     _not_a_topology_at,
     check_conv_props,
     corrupted_environments,
@@ -144,6 +144,20 @@ def test_lh_jobs_env_is_the_default(monkeypatch):
 def test_lh_jobs_that_is_not_an_integer_is_named(monkeypatch):
     monkeypatch.setenv("LH_JOBS", "two")
     with pytest.raises(ValueError, match="LH_JOBS must be an integer, got 'two'"):
+        sweep(2)
+
+
+def test_sweep_refuses_worker_counts_below_one(monkeypatch):
+    # they used to run serially; now nothing is enumerated
+    def enumerated(n):
+        raise AssertionError("enumerated before the worker count was checked")
+
+    monkeypatch.setattr(theorems, "preorder_prefixes", enumerated)
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            sweep(2, jobs=jobs)
+    monkeypatch.setenv("LH_JOBS", "-2")
+    with pytest.raises(ValueError, match="LH_JOBS must be at least 1, got -2"):
         sweep(2)
 
 
@@ -420,26 +434,69 @@ def test_sequence_and_product_checks_are_exact():
         assert (cycles, seqs) == (k + k * k, (1 + k) * (k + k * k))
 
 
+def reflexive_relation(rng, k):
+    """A random reflexive table on k indices at a random density: mostly
+    not transitive."""
+    p = rng.random() / 2
+    return tuple(1 << i | mask_of(j for j in range(k) if rng.random() < p) for i in range(k))
+
+
+def transitive_closure(rows):
+    """The least transitive table above a reflexive one: each row takes in
+    the rows of its members until nothing changes. ``from_preorder`` closes
+    the same way but then lists every open, up to 2^k of them."""
+    rows = list(rows)
+    changed = True
+    while changed:
+        changed = False
+        for i, row in enumerate(rows):
+            grown = union_of(rows, row)
+            if grown != row:
+                rows[i], changed = grown, True
+    return tuple(rows)
+
+
+def with_tables(space, kinds, rng):
+    """One environment per kind, its honest (kind, tau_w) table replaced by
+    a random reflexive relation, and one by that relation's transitive
+    closure, a random preorder table."""
+    cars = carriers(space)
+    for kind in kinds:
+        car = cars[kind]
+        relation = reflexive_relation(rng, len(car))
+        for rows in (relation, transitive_closure(relation)):
+            yield CheckEnv(space, carriers=cars, topologies={(kind, "w"): HyperTopology(car, "w", rows)})
+
+
 def test_exact_baire_matches_dense_open_enumeration():
     # the honest and corrupted (L, Lprime, ML; tau_w) tables of every space
-    # on at most four points: the O(k^2) reduction agrees with full
-    # enumeration wherever the table is a topology's, and the cyclic
-    # tables, which are not transitive, fail the check at the precheck
-    exact = rejected = 0
-    for n in range(1, 5):
-        for space in enumerate_topologies(n):
-            for env in [CheckEnv(space)] + [env for _, env in corrupted_environments(space)]:
-                for kind in ("L", "Lprime", "ML"):
-                    t = env.topology(kind, "w")
-                    if _not_a_topology_at(t) is None:
-                        assert _meet_of_dense_opens(t) == dense_open_meet_oracle(t)
-                        exact += 1
-                    else:
-                        result = run_check("check_baire", space, env)
-                        assert result.status == FAIL
-                        assert [key for key, _ in result.witness] == ["carrier", "not_a_topology_at"]
-                        rejected += 1
-    assert exact > 10000 and rejected > 0
+    # on at most four points, and random reflexive and preorder tables on
+    # those carriers: wherever a table passes the precheck, the meet of its
+    # dense opens, enumerated by the oracle, is dense, and the check is
+    # trivially_true exactly when all three tables pass; a table that is
+    # not a topology's (the cyclic and most random relations) fails the
+    # check at the precheck
+    rng = random.Random(19)
+    exact = passed = rejected = 0
+    for space in spaces_upto(4, start=1):
+        envs = [CheckEnv(space)] + [env for _, env in corrupted_environments(space)]
+        envs += with_tables(space, ("L", "Lprime", "ML"), rng)
+        for env in envs:
+            tables = [env.topology(kind, "w") for kind in ("L", "Lprime", "ML")]
+            prechecks = [_not_a_topology_at(t) for t in tables]
+            for t, a in zip(tables, prechecks):
+                if a is None:
+                    assert is_dense(t, dense_open_meet_oracle(t))
+                    exact += 1
+            result = run_check("check_baire", space, env)
+            if prechecks == [None] * 3:
+                assert result.status == TRIVIALLY_TRUE
+                passed += 1
+            else:
+                assert result.status == FAIL
+                assert [key for key, _ in result.witness] == ["carrier", "not_a_topology_at"]
+                rejected += 1
+    assert exact > 15000 and passed > 5000 and rejected > 500
 
 
 def test_local_compactness_matches_per_open_construction():
@@ -468,6 +525,38 @@ def test_local_compactness_matches_per_open_construction():
             assert got == want
             statuses.append(got.status)
     assert len(seen) > 1000 and set(statuses) == {TRIVIALLY_TRUE, FAIL}
+
+
+def test_compactness_checks_are_decided_by_the_precheck():
+    # the honest and every corrupted environment of each space on at most
+    # four points and of the benchmark documents, and random reflexive and
+    # preorder tables on F, Fprime, L and Lprime: each compactness check is
+    # trivially_true exactly when the tau_w tables it reads are a
+    # topology's. Every table here is reflexive; on a table that is not,
+    # the cover loop can pass where the precheck fails, so such tables are
+    # left out of the equality
+    rng = random.Random(20)
+    kinds = ("F", "Fprime", "L", "Lprime")
+    seen = set()
+    outcomes = set()
+    for space in [*spaces_upto(4, start=1), *bench_doc_spaces()]:
+        envs = [CheckEnv(space)] + [env for _, env in corrupted_environments(space)]
+        if space.n <= 4:
+            envs += with_tables(space, kinds, rng)
+        for env in envs:
+            tables = [env.topology(kind, "w") for kind in kinds]
+            key = (space, tuple((t.carrier.elements, t.rows) for t in tables))
+            if key in seen:
+                continue
+            seen.add(key)
+            assert all((row >> a) & 1 for t in tables for a, row in enumerate(t.rows))
+            prechecks = [_not_a_topology_at(t) is None for t in tables]
+            lemma = run_check("check_compactness_lemma", space, env).status == TRIVIALLY_TRUE
+            local = run_check("check_local_compactness", space, env).status == TRIVIALLY_TRUE
+            assert lemma == prechecks[0]
+            assert local == all(prechecks)
+            outcomes.add((lemma, local))
+    assert len(seen) > 1000 and outcomes == {(True, True), (False, False), (True, False)}
 
 
 # ----------------------------------- the checks against their definitions
