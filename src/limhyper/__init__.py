@@ -34,7 +34,6 @@ from .hyperspace import (
     hyper_closure,
     hyper_component,
     is_closed_sub,
-    is_compact_cover,
     is_connected_hyper,
     is_dense,
     is_separated_in,

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NotOpen
 from .finspace import bits, component, is_separated, mask_of, meet_of, transpose, union_of
 from .limitsets import HyperCarrier
 
@@ -155,25 +154,6 @@ def is_connected_hyper(top: HyperTopology) -> bool:
     """No proper nonempty clopen subset; equivalently the symmetric
     minimal-neighborhood adjacency graph has one component."""
     return len(top) <= 1 or hyper_component(top, 0) == (1 << len(top)) - 1
-
-
-def is_compact_cover(top: HyperTopology, s: int, cover: int) -> bool:
-    """Verify a finite subcover of ``s`` exists inside ``cover``.
-
-    Both are masks of carrier indices. The cover's member i is the minimal
-    neighborhood ``top.rows[i]``, which must be open (see ``open_rows``);
-    the lowest index whose row is not raises ``NotOpen``. A finite cover
-    is its own finite subcover, so the result is whether the rows cover
-    ``s``.
-    """
-    bad = cover & ~top.open_rows
-    if bad:
-        row = top.rows[(bad & -bad).bit_length() - 1]
-        raise NotOpen(f"cover member {list(bits(row))} is not open in the hyperspace")
-    covered = 0
-    for i in bits(cover):
-        covered |= top.rows[i]
-    return not s & ~covered
 
 
 def product_closure(t1: HyperTopology, t2: HyperTopology, rel: tuple[int, ...]) -> tuple[int, ...]:

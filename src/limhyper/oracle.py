@@ -25,7 +25,6 @@ from .hyperspace import (
     HyperTopology,
     build_topology,
     hyper_closure,
-    is_compact_cover,
     product_closure,
     seq_limits,
 )
@@ -320,6 +319,19 @@ def per_cycle_conv_props(space, env, max_pre=1, max_cycle=2):
 # ---------------------------------------------------- local compactness
 
 
+def member_wise_compact_cover(top: HyperTopology, s: Iterable[int], cover: Iterable[Iterable[int]]) -> bool:
+    """Subcover search over explicit sets of carrier indices: every member
+    of ``cover`` must be open, holding the minimal neighborhood of each of
+    its indices, and the first that is not raises ``NotOpen``. A finite
+    cover is its own finite subcover, so the result is whether every index
+    of ``s`` lies in some member."""
+    members = [mask_of(m) for m in cover]
+    for m in members:
+        if any(top.rows[i] & ~m for i in bits(m)):
+            raise NotOpen(f"cover member {list(bits(m))} is not open in the hyperspace")
+    return all(any((m >> i) & 1 for m in members) for i in s)
+
+
 def per_open_local_compactness(space, env):
     """``check_local_compactness`` from the subbasic opens: for each element
     a of F, Fprime, L and Lprime under tau_w and each open u meeting a,
@@ -327,8 +339,8 @@ def per_open_local_compactness(space, env):
     of a inside hit(u), as min_nbhd(x) lies inside u. Their meet ``inner``
     must hold a, lie inside ``outer``, the meet of the hit(u), and be
     covered by the minimal neighborhoods of its own members
-    (``is_compact_cover``, which raises ``NotOpen`` on a row that is not
-    open)."""
+    (``member_wise_compact_cover``, which raises ``NotOpen`` on a row that
+    is not open)."""
     cid = "check_local_compactness"
     witnessed = 0
     for kind in ("F", "Fprime", "L", "Lprime"):
@@ -341,7 +353,8 @@ def per_open_local_compactness(space, env):
                     low = (a & u) & -(a & u)
                     inner &= meeting[space.rows[low.bit_length() - 1]]
                     outer &= meeting_u
-            if not (inner >> i) & 1 or inner & ~outer or not is_compact_cover(t, inner, inner):
+            cover = [bits(t.rows[j]) for j in bits(inner)]
+            if not (inner >> i) & 1 or inner & ~outer or not member_wise_compact_cover(t, bits(inner), cover):
                 return CheckResult(cid, FAIL, witness=(("carrier", kind), ("element", env.fmt(a))))
             witnessed += 1
     return CheckResult(

@@ -20,7 +20,6 @@ from limhyper import (
     hyper_closure,
     hyper_component,
     is_closed_sub,
-    is_compact_cover,
     is_connected,
     is_connected_hyper,
     is_dense,
@@ -40,6 +39,7 @@ from limhyper.oracle import (
     inclusion_relation,
     is_hausdorff,
     is_primitive,
+    member_wise_compact_cover,
     min_nbhd_oracle,
     pairwise_separated,
     product_is_closed,
@@ -367,71 +367,24 @@ def test_connectedness_examples(sierpinski, discrete2):
 
 
 def test_compact_cover(sierpinski):
+    # the member-wise subcover search that ``per_open_local_compactness``
+    # runs, its cover given as the rows of a mask of carrier indices
     f = carrier(sierpinski, "F")
     tw = build_topology(f, "w")
     everything = (1 << len(f.elements)) - 1
-    assert is_compact_cover(tw, everything, everything)
-    assert not is_compact_cover(tw, everything, 1 << f.index(0b11))
-    assert is_compact_cover(tw, everything, 1 << f.index(0))  # the row of {} is the carrier
+
+    def rows_of(t, mask):
+        return [bits(t.rows[i]) for i in bits(mask)]
+
+    assert member_wise_compact_cover(tw, bits(everything), rows_of(tw, everything))
+    assert not member_wise_compact_cover(tw, bits(everything), rows_of(tw, 1 << f.index(0b11)))
+    # the row of {} is the carrier
+    assert member_wise_compact_cover(tw, bits(everything), rows_of(tw, 1 << f.index(0)))
     # an honest table has no row that is not open; the cyclic one does
     cyc = _cyclic_topology(carrier(sierpinski, "F"), "w")  # rows {0,1} {1,2} {0,2}
     assert cyc.open_rows == 0
     with pytest.raises(NotOpen, match=r"cover member \[1, 2\] is not open"):
-        is_compact_cover(cyc, everything, 1 << 2 | 1 << 1)
-
-
-def member_wise_compact_cover(top, s, cover):
-    """The member-wise subcover search over explicit open sets of carrier
-    indices that ``is_compact_cover`` ran before it took row indices; kept
-    as its reference."""
-    members = [mask_of(m) for m in cover]
-    for m in members:
-        if any(top.rows[i] & ~m for i in bits(m)):
-            raise NotOpen(f"cover member {list(bits(m))} is not open in the hyperspace")
-    covered = 0
-    for i in bits(mask_of(s)):
-        if (covered >> i) & 1:
-            continue
-        for m in members:
-            if (m >> i) & 1:
-                covered |= m
-                break
-        else:
-            return False
-    return True
-
-
-def _cover_outcome(fn, top, s, cover):
-    try:
-        return fn(top, s, cover)
-    except NotOpen as exc:
-        return str(exc)
-
-
-def test_compact_cover_by_row_index_matches_member_wise_search():
-    # every honest and corrupted table of every space on at most three
-    # points, every set of cover rows (a seeded sample past 2^6), and three
-    # targets per cover: the carrier, the cover's own indices, a random set
-    rng = random.Random(5)
-    tables = {}
-    for space in spaces_upto(3):
-        for env in [CheckEnv(space)] + [env for _, env in corrupted_environments(space)]:
-            for kind in CARRIER_KINDS:
-                for flavor in ("w", "s"):
-                    t = env.topology(kind, flavor)
-                    tables[(space, t.carrier.elements, t.rows)] = t
-    outcomes = set()
-    for t in tables.values():
-        k = len(t)
-        full = (1 << k) - 1
-        covers = range(full + 1) if k <= 6 else [rng.getrandbits(k) for _ in range(64)]
-        for cover_mask in covers:
-            for s in (full, cover_mask, rng.getrandbits(k) if k else 0):
-                rows_cover = [bits(t.rows[i]) for i in bits(cover_mask)]
-                got = _cover_outcome(is_compact_cover, t, s, cover_mask)
-                assert got == _cover_outcome(member_wise_compact_cover, t, bits(s), rows_cover)
-                outcomes.add(got if isinstance(got, bool) else "NotOpen")
-    assert len(tables) > 400 and outcomes == {True, False, "NotOpen"}
+        member_wise_compact_cover(cyc, bits(everything), rows_of(cyc, 1 << 2 | 1 << 1))
 
 
 # ------------------------------------------------------------ product side
