@@ -261,7 +261,7 @@ def conv1_conditions(space: FinTopSpace, seq: EvPerSeq, a: int) -> tuple[bool, b
     return cond_a, cond_b
 
 
-def per_cycle_conv_props(space, env, max_pre=1, max_cycle=2):
+def per_cycle_conv_props(env, max_pre=1, max_cycle=2):
     """``check_conv_props`` decided one ordered cycle and one target at a
     time: for every cycle of at most ``max_cycle`` F-carrier terms, in
     order of length and then lexicographically, and every target A, Fell
@@ -279,8 +279,6 @@ def per_cycle_conv_props(space, env, max_pre=1, max_cycle=2):
     ts = env.topology("F", "s")
     elems = tw.carrier.elements
     k = len(elems)
-    if k == 0:
-        return CheckResult(cid, PROXY, notes="empty carrier")
     cycles = [cyc for c in range(1, max_cycle + 1) for cyc in itertools.product(range(k), repeat=c)]
     closed_subsets = [mask_of(j for j, b in enumerate(elems) if not b & ~a) for a in elems]
     for cyc in cycles:
@@ -291,7 +289,7 @@ def per_cycle_conv_props(space, env, max_pre=1, max_cycle=2):
         for a, target in enumerate(elems):
             flags = (
                 bool((fell >> a) & 1),
-                all(conv1_conditions(space, masks, target)),
+                all(conv1_conditions(env.space, masks, target)),
                 lower == clusters == closed_subsets[a],
             )
             if len(set(flags)) > 1:
@@ -332,7 +330,7 @@ def member_wise_compact_cover(top: HyperTopology, s: Iterable[int], cover: Itera
     return all(any((m >> i) & 1 for m in members) for i in s)
 
 
-def per_open_local_compactness(space, env):
+def per_open_local_compactness(env):
     """``check_local_compactness`` from the subbasic opens: for each element
     a of F, Fprime, L and Lprime under tau_w and each open u meeting a,
     hit(min_nbhd(x)), x the lowest point of a & u, is a basic neighborhood
@@ -345,13 +343,13 @@ def per_open_local_compactness(space, env):
     witnessed = 0
     for kind in ("F", "Fprime", "L", "Lprime"):
         t = env.topology(kind, "w")
-        meeting = {u: t.carrier.meeting(u) for u in space.opens}
+        meeting = {u: t.carrier.meeting(u) for u in env.space.opens}
         for i, a in enumerate(t.carrier.elements):
             inner = outer = (1 << len(t)) - 1
             for u, meeting_u in meeting.items():
                 if u & a:
                     low = (a & u) & -(a & u)
-                    inner &= meeting[space.rows[low.bit_length() - 1]]
+                    inner &= meeting[env.space.rows[low.bit_length() - 1]]
                     outer &= meeting_u
             cover = [bits(t.rows[j]) for j in bits(inner)]
             if not (inner >> i) & 1 or inner & ~outer or not member_wise_compact_cover(t, bits(inner), cover):

@@ -2,11 +2,12 @@
 that runs them all over a space or an enumeration sweep, and a
 corrupted-carrier exploration mode proving the checks can actually fail.
 
-Checks assert statements, never proof intermediates. Facts that finite
-spaces make automatic (every subset compact, every preorder space Baire)
-are reported with the distinct status ``trivially_true`` so they are
-never confused with substantive passes; the compactness lemma and the
-Baire check decide them by checking that their tables are a topology's.
+Each check reads one ``CheckEnv``, which holds the space, and asserts
+statements, never proof intermediates. Facts that finite spaces make
+automatic (every subset compact, every preorder space Baire) are
+reported with the distinct status ``trivially_true`` so they are never
+confused with substantive passes; the compactness lemma and the Baire
+check decide them by checking that their tables are a topology's.
 Sequence-based convergence checks carry the status ``proxy``.
 """
 
@@ -84,7 +85,8 @@ class CheckEnv:
     with a corrupted carrier or raw neighborhood table through the
     ``carriers`` / ``topologies`` overrides; every check then runs its
     ordinary logic against the broken structures. Labels, when given,
-    name the points one each; ``None`` or an empty sequence defaults them.
+    name the points one each and are distinct; ``None`` or an empty
+    sequence defaults them.
     """
 
     def __init__(self, space, labels=None, carriers=None, topologies=None):
@@ -92,6 +94,9 @@ class CheckEnv:
         self.labels = tuple(labels) if labels else default_labels(space.n)
         if len(self.labels) != space.n:
             raise ValueError(f"{len(self.labels)} labels given for a space of {space.n} points")
+        repeated = [label for i, label in enumerate(self.labels) if label in self.labels[:i]]
+        if repeated:
+            raise ValueError(f"label {repeated[0]!r} names more than one point")
         self._carriers: dict[str, HyperCarrier] = dict(carriers or {})
         self._topologies: dict[tuple[str, str], HyperTopology] = dict(topologies or {})
 
@@ -116,7 +121,7 @@ class CheckEnv:
         return self.fmt_family(car.elements[i] for i in bits(mask))
 
 
-def check_closure_singleton(space, env):
+def check_closure_singleton(env):
     """The closure of one closed set in the lower topology on F(X) must be
     exactly its closed subsets: the closure of element i is the column
     ``cols[i]``, and its closed subsets are ``car.subsets[i]``."""
@@ -136,7 +141,7 @@ def check_closure_singleton(space, env):
     return CheckResult("check_closure_singleton", PASS)
 
 
-def check_eta_closure_and_density(space, env):
+def check_eta_closure_and_density(env):
     """Point-closure image: its closure in (F(X), tau_w) is L(X); Fprime is
     dense in F(X); ML(X) is dense in L(X); and L(X) is closed in both
     topologies on F(X)."""
@@ -145,7 +150,7 @@ def check_eta_closure_and_density(space, env):
     fcar = tf.carrier
     lcar = env.carrier("L")
 
-    eta_idx = mask_of(fcar.index(eta(space, x)) for x in range(space.n))
+    eta_idx = mask_of(fcar.index(eta(env.space, x)) for x in range(env.space.n))
     l_idx = mask_of(fcar.index(m) for m in lcar.elements)
     got = hyper_closure(tf, eta_idx)
     if got != l_idx:
@@ -187,7 +192,7 @@ def _ml_inside_l(env):
     return ml, None
 
 
-def check_cont_iff_maximal(space, env):
+def check_cont_iff_maximal(env):
     """Identity map from (L, tau_w) to (L, tau_s) is continuous exactly at
     the maximal limit sets, and the two topologies agree on ML. The map is
     continuous at element i when its tau_w row lies inside its tau_s row."""
@@ -226,7 +231,7 @@ def check_cont_iff_maximal(space, env):
     return CheckResult(cid, PASS)
 
 
-def check_separated_iff_maximal(space, env):
+def check_separated_iff_maximal(env):
     """An element of (L, tau_w) is a separated point exactly when it is a
     maximal limit set."""
     cid = "check_separated_iff_maximal"
@@ -250,12 +255,12 @@ def check_separated_iff_maximal(space, env):
     return CheckResult(cid, PASS)
 
 
-def check_connectedness(space, env):
+def check_connectedness(env):
     """Connected ground space forces (L, tau_w) connected. The Fell-side
     analogue fails routinely and is reported as an informational note,
     not asserted."""
     cid = "check_connectedness"
-    if not is_connected(space):
+    if not is_connected(env.space):
         return CheckResult(cid, PASS, notes="hypothesis not met: the space is disconnected")
     tw = env.topology("L", "w")
     if not is_connected_hyper(tw):
@@ -281,7 +286,7 @@ def _not_a_topology_at(t):
     return (bad & -bad).bit_length() - 1 if bad else None
 
 
-def check_compactness_lemma(space, env):
+def check_compactness_lemma(env):
     """The set of closed sets hitting each member of a finite family is
     compact in (F, tau_w), for the empty family, each singleton and the
     family of all singletons. Once the table is checked to be a
@@ -293,11 +298,11 @@ def check_compactness_lemma(space, env):
     a = _not_a_topology_at(t)
     if a is not None:
         return CheckResult(cid, FAIL, witness=(("not_a_topology_at", env.fmt(t.carrier.elements[a])),))
-    families = 1 + space.n + (space.n > 0)
+    families = 1 + env.space.n + (env.space.n > 0)
     return CheckResult(cid, TRIVIALLY_TRUE, notes=f"finite subcover found for {families} hit families")
 
 
-def check_local_compactness(space, env):
+def check_local_compactness(env):
     """Every element of F, Fprime, L and Lprime has a compact neighborhood
     sandwiched between basic neighborhoods, built constructively from
     minimal point neighborhoods, and covered by the rows of its own
@@ -306,7 +311,7 @@ def check_local_compactness(space, env):
     witnessed = 0
     for kind in ("F", "Fprime", "L", "Lprime"):
         t = env.topology(kind, "w")
-        near = [t.carrier.meeting(row) for row in space.rows]
+        near = [t.carrier.meeting(row) for row in env.space.rows]
         for a in t.carrier.elements:
             # the basic neighborhood hit(min_nbhd(x) : x in a): it holds a and
             # lies in hit(u) for each open u meeting a, as min_nbhd(x) <= u
@@ -332,7 +337,7 @@ def check_local_compactness(space, env):
     )
 
 
-def check_baire(space, env):
+def check_baire(env):
     """The intersection of all dense open subsets of (L, tau_w),
     (Lprime, tau_w) and (ML, tau_w) is dense: the strongest Baire
     statement a finite carrier supports.
@@ -360,7 +365,7 @@ def check_baire(space, env):
     )
 
 
-def check_gdelta_ML(space, env):
+def check_gdelta_ML(env):
     """ML(X) is open inside (L(X), tau_s); countable intersections of opens
     collapse to finite ones here, so Gdelta and open coincide."""
     cid = "check_gdelta_ML"
@@ -383,7 +388,7 @@ def check_gdelta_ML(space, env):
     return CheckResult(cid, PASS, notes="Gdelta reduced to open: finite carrier")
 
 
-def check_product_structure(space, env):
+def check_product_structure(env):
     """Product-side facts over (L, tau_s) x (L, tau_s): the inclusion
     relation is closed, and the slice map of any product open is open.
 
@@ -419,12 +424,12 @@ def check_product_structure(space, env):
     return CheckResult(cid, PASS, notes=f"slice map decided exactly over {len(ts)} rows")
 
 
-def check_separated_points_corollary(space, env):
+def check_separated_points_corollary(env):
     """Point closures of separated points are exactly the maximal point
     closures; the family is dense in (ML, tau_w) and open in (L, tau_s)."""
     cid = "check_separated_points_corollary"
-    sep = separated_points(space)
-    fam = {eta(space, x) for x in bits(sep)}
+    space = env.space
+    fam = {eta(space, x) for x in bits(separated_points(space))}
     eta_all = {eta(space, x) for x in range(space.n)}
     ml_masks = set(env.carrier("ML").elements)
     if fam != eta_all & ml_masks:
@@ -451,17 +456,13 @@ def check_separated_points_corollary(space, env):
     return CheckResult(cid, PASS)
 
 
-def _fmt_seq(env, elems, indices) -> str:
-    return "(" + " ".join(env.fmt(elems[t]) for t in indices) + ")"
-
-
 def _flag(mask: int, a: int) -> str:
     return "true" if (mask >> a) & 1 else "false"
 
 
-def check_conv_props(space, env, max_pre=1, max_cycle=2):
-    """Triple equivalence over every in-budget eventually periodic sequence
-    of closed sets and every closed target A: Fell convergence to A, the
+def check_conv_props(env):
+    """Triple equivalence over every eventually periodic sequence of closed
+    sets and every closed target A: Fell convergence to A, the
     point-selection conditions, and primitivity in tau_w with limit set
     equal to the closed subsets of A.
 
@@ -486,8 +487,9 @@ def check_conv_props(space, env, max_pre=1, max_cycle=2):
     carrier only, so this holds on any table, corrupted ones included. The
     one-term cycles come first among the ordered cycles, so the first
     failing term is the first failing cycle. Convergence is a tail
-    property, so no preperiod changes a verdict either: ``max_pre`` and
-    ``max_cycle`` only set the counts of cycles and sequences in the note.
+    property, so no preperiod changes a verdict either. The note counts
+    the k + k^2 cycles of at most two terms over the k elements, and the
+    (1 + k)(k + k^2) sequences with a preperiod of at most one term.
 
     The verdict is also that of every net. The tail ranges
     T_d = {x_e : e >= d} of a net (x_d) in the finite carrier form a
@@ -506,14 +508,10 @@ def check_conv_props(space, env, max_pre=1, max_cycle=2):
     ts = env.topology("F", "s")
     car = tw.carrier
     elems = car.elements
-    k = len(elems)
-    if k == 0:
-        return CheckResult(cid, PROXY, notes="empty carrier")
-
     for t, m in enumerate(elems):
         fell, lower = ts.cols[t], tw.cols[t]
         try:
-            j = car.index(closure(space, m))
+            j = car.index(closure(env.space, m))
         except NotInCarrier:
             sel = 0
         else:
@@ -529,7 +527,7 @@ def check_conv_props(space, env, max_pre=1, max_cycle=2):
                 cid,
                 FAIL,
                 witness=(
-                    ("cycle", _fmt_seq(env, elems, (t,))),
+                    ("cycle", f"({env.fmt(m)})"),
                     ("target", env.fmt(elems[a])),
                     ("fell_convergence", _flag(fell, a)),
                     ("selection_conditions", _flag(sel, a)),
@@ -537,14 +535,14 @@ def check_conv_props(space, env, max_pre=1, max_cycle=2):
                 ),
             )
 
-    n_cycles = sum(k**c for c in range(1, max_cycle + 1))
-    n_seq = sum(k**p for p in range(max_pre + 1)) * n_cycles
+    k = len(elems)
+    n_cycles = k + k * k
     return CheckResult(
         cid,
         PROXY,
         notes=(
-            f"sequences stand in for nets; {n_cycles} cycles, {n_seq} sequences "
-            f"(preperiod<={max_pre}, cycle<={max_cycle}) over F(X)"
+            f"sequences stand in for nets; {n_cycles} cycles, {(1 + k) * n_cycles} sequences "
+            "(preperiod<=1, cycle<=2) over F(X)"
         ),
     )
 
@@ -565,14 +563,17 @@ CHECKS = {
 }
 
 
-def run_check(check_id: str, space: FinTopSpace, env: CheckEnv | None = None, **kwargs) -> CheckResult:
-    """Run one registered check; inconsistent carrier or neighborhood
-    structures surface as failures instead of exceptions."""
+def run_check(check_id: str, space: FinTopSpace, env: CheckEnv | None = None) -> CheckResult:
+    """Run one registered check on ``env``, built on ``space`` when not
+    given; inconsistent carrier or neighborhood structures surface as
+    failures instead of exceptions."""
     fn = CHECKS[check_id]
     if env is None:
         env = CheckEnv(space)
+    elif env.space != space:
+        raise ValueError(f"{check_id}: the environment was built on another space")
     try:
-        return fn(space, env, **kwargs)
+        return fn(env)
     except (NotOpen, NotInCarrier) as exc:
         return CheckResult(
             check_id,

@@ -23,7 +23,8 @@ from limhyper import (
 from limhyper.cli import run as cli_run
 from limhyper.finspace import bits, full_mask
 from limhyper.limitsets import CARRIER_KINDS
-from limhyper.theorems import CHECKS, FAIL
+from limhyper.oracle import per_cycle_conv_props
+from limhyper.theorems import CHECKS, FAIL, CheckEnv
 
 SIERPINSKI_DOC = '{"points": ["a", "b"], "opens": [[], ["a"], ["a", "b"]]}'
 THREE_POINT_DOC = (
@@ -141,23 +142,29 @@ def test_acceptance_4_theorem_sweep():
 
 
 def test_acceptance_5_convergence_propositions():
+    # every ordered cycle of at most three closed sets, behind every
+    # preperiod of at most two, against every closed target, decided one
+    # cycle and one target at a time by ``oracle.per_cycle_conv_props``;
+    # the check, which decides single terms, must agree in status and
+    # witness
     t0 = time.perf_counter()
     checked_spaces = 0
-    for n in range(4):
+    for n in range(1, 4):
         for space in enumerate_topologies(n):
-            if space.n == 0:
-                continue
-            result = run_check("check_conv_props", space, max_pre=2, max_cycle=3)
-            assert result.status != FAIL, (space, result.witness)
-            k = len(carrier(space, "F").elements)
+            env = CheckEnv(space)
+            want = per_cycle_conv_props(env, max_pre=2, max_cycle=3)
+            assert want.status != FAIL, (space, want.witness)
+            k = len(env.carrier("F").elements)
             n_seq = sum(k**p for p in range(3)) * sum(k**c for c in (1, 2, 3))
-            assert f"{n_seq} sequences" in result.notes
+            assert f"{n_seq} sequences" in want.notes
+            got = run_check("check_conv_props", space, env)
+            assert (got.status, got.witness) == (want.status, want.witness), space
             checked_spaces += 1
     elapsed = time.perf_counter() - t0
     assert checked_spaces == 34
     assert elapsed < 30.0, f"convergence sweep took {elapsed:.2f}s"
     print(
-        f"\nACCEPTANCE 5 (convergence equivalences, {checked_spaces} spaces, "
+        f"\nACCEPTANCE 5 (convergence equivalences per cycle up to 3 terms, {checked_spaces} spaces, "
         f"{elapsed:.2f}s): PASS"
     )
 

@@ -1,8 +1,11 @@
+import ast
 import hashlib
 import json
 import random
 import re
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +27,7 @@ from limhyper import (
 from limhyper import theorems
 from limhyper.finspace import digest, mask_of, preorder_prefixes, union_of
 from limhyper.hyperspace import FLAVORS, HyperTopology, build_topology, is_dense
-from limhyper.limitsets import CARRIER_KINDS
+from limhyper.limitsets import CARRIER_KINDS, HyperCarrier
 from limhyper.oracle import dense_open_meet_oracle, per_cycle_conv_props, per_open_local_compactness
 from limhyper.spaceio import parse_point_set
 from limhyper.theorems import (
@@ -85,6 +88,22 @@ def test_connectedness_vacuous_note(discrete2):
     assert "hypothesis not met" in r.notes
 
 
+def test_run_check_refuses_an_environment_of_another_space(monkeypatch, discrete2, sierpinski):
+    # every check reads the space from its environment, so a second space
+    # that disagrees is refused before the check runs or fills any cache;
+    # the corollary used to report a false fail on this pair
+    def ran(env):
+        raise AssertionError("the check ran")
+
+    env = CheckEnv(sierpinski)
+    monkeypatch.setitem(CHECKS, "check_separated_points_corollary", ran)
+    with pytest.raises(ValueError, match="the environment was built on another space"):
+        run_check("check_separated_points_corollary", discrete2, env)
+    assert (env._carriers, env._topologies) == ({}, {})
+    monkeypatch.undo()
+    assert run_check("check_separated_points_corollary", sierpinski, env).status == PASS
+
+
 def test_verify_all_rejects_empty_space():
     empty = validate_topology(0, [0])
     with pytest.raises(ValueError):
@@ -96,18 +115,6 @@ def test_checks_are_deterministic(three_point):
     second = verify_all(three_point)
     assert first.results == second.results
     assert first.space_digest == second.space_digest
-
-
-def test_conv_props_counts_long_cycles_without_walking_them(sierpinski):
-    # single terms decide every cycle, so no cycle length is out of reach;
-    # the three closed sets of the Sierpinski space give sum 3^c cycles
-    r = run_check("check_conv_props", sierpinski, max_pre=0, max_cycle=30)
-    n_cycles = sum(3**c for c in range(1, 31))
-    assert r.status == PROXY
-    assert r.notes == (
-        f"sequences stand in for nets; {n_cycles} cycles, {n_cycles} sequences "
-        "(preperiod<=0, cycle<=30) over F(X)"
-    )
 
 
 def test_verify_all_discrete_eleven():
@@ -150,6 +157,15 @@ def test_labels_must_name_every_point(sierpinski):
     for labels in (None, ()):
         assert verify_all(sierpinski, labels=labels).labels == ("a", "b")
     assert verify_all(sierpinski, labels=["p", "q"]).labels == ("p", "q")
+
+
+def test_labels_must_be_distinct(sierpinski, three_point):
+    # a report whose points share a label is one that parse_space refuses
+    # to read back
+    with pytest.raises(ValueError, match="label 'a' names more than one point"):
+        verify_all(sierpinski, labels=("a", "a"))
+    with pytest.raises(ValueError, match="label 'y' names more than one point"):
+        CheckEnv(three_point, labels=("x", "y", "y"))
 
 
 def test_lh_jobs_env_is_the_default(monkeypatch):
@@ -235,7 +251,7 @@ def test_sweep_merges_task_results_in_enumeration_order(monkeypatch, recording_p
     # two checks fail on fixed subsets of the spaces; the merged counts
     # and first failures equal those of one plain loop
     def failing_on(check_id, pred):
-        return lambda space, env: CheckResult(check_id, FAIL if pred(space) else PASS)
+        return lambda env: CheckResult(check_id, FAIL if pred(env.space) else PASS)
 
     monkeypatch.setitem(CHECKS, "check_baire", failing_on("check_baire", lambda s: int(digest(s), 16) % 7 == 3))
     monkeypatch.setitem(
@@ -438,6 +454,119 @@ def test_every_mining_hit_is_golden():
     assert (hits, h.hexdigest()) == (4240, GOLDEN_MINING_SHA256)
 
 
+def _witness_keys(witness):
+    """The keys of a literal witness tuple, each with its value when that
+    is a string constant: the name of one FAIL site within its check."""
+    return ", ".join(
+        key.value + (f"={value.value}" if isinstance(value, ast.Constant) else "")
+        for key, value in (pair.elts for pair in witness.elts)
+    )
+
+
+def fail_sites():
+    """Every place in ``theorems.py`` that makes a check fail, keyed by its
+    function and its witness keys, mapped to the lines of its statement:
+    each ``return CheckResult(..., FAIL, ...)`` and each raise of an error
+    that ``run_check`` turns into a FAIL. A witness passed on by name is
+    the one its helper returns."""
+    tree = ast.parse(Path(theorems.__file__).read_text(encoding="utf-8"))
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    sites = {}
+    for fn in funcs.values():
+        for node in ast.walk(fn):
+            call = getattr(node, "exc" if isinstance(node, ast.Raise) else "value", None)
+            if not isinstance(node, (ast.Raise, ast.Return)) or not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", "")
+            if isinstance(node, ast.Raise) and name in ("NotOpen", "NotInCarrier"):
+                key = f"raise {name}"
+            elif isinstance(node, ast.Return) and name == "CheckResult" and getattr(call.args[1], "id", "") == "FAIL":
+                witness = next(k.value for k in call.keywords if k.arg == "witness")
+                if isinstance(witness, ast.Name):
+                    # ``ml, bad = helper(env)``: what the helper returns in that place
+                    assign = next(
+                        a for a in ast.walk(fn) if isinstance(a, ast.Assign)
+                        and witness.id in [getattr(t, "id", "") for t in getattr(a.targets[0], "elts", ())]
+                    )
+                    pos = [t.id for t in assign.targets[0].elts].index(witness.id)
+                    witness = next(
+                        r.value.elts[pos] for r in ast.walk(funcs[assign.value.func.id])
+                        if isinstance(r, ast.Return) and isinstance(r.value, ast.Tuple)
+                        and isinstance(r.value.elts[pos], ast.Tuple)
+                    )
+                key = _witness_keys(witness)
+            else:
+                continue
+            assert (fn.name, key) not in sites, (fn.name, key)
+            sites[fn.name, key] = set(range(node.lineno, node.end_lineno + 1))
+    return sites
+
+
+def lines_run(filename, fn):
+    """The line numbers of ``filename`` that run while ``fn()`` runs."""
+    seen = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == filename else None)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
+# the FAIL sites that mining reaches on every space with n <= 3, the same
+# as with n <= 4
+MINED_FAIL_SITES = {
+    ("check_closure_singleton", "element, closure, expected"),
+    ("check_eta_closure_and_density", "closure_of_eta_image, limit_carrier"),
+    ("check_eta_closure_and_density", "not_dense=ML in (L,tau_w)"),
+    ("check_cont_iff_maximal", "element, continuous, maximal"),
+    ("check_separated_iff_maximal", "element, separated, maximal"),
+    ("check_connectedness", "clopen_component"),
+    ("check_compactness_lemma", "not_a_topology_at"),
+    ("check_local_compactness", "raise NotOpen"),
+    ("check_baire", "carrier, not_a_topology_at"),
+    ("check_gdelta_ML", "element, nbhd_leaks_to"),
+    ("check_product_structure", "pair_in_closure_only"),
+    ("check_separated_points_corollary", "separated_point_closures, maximal_point_closures"),
+    ("check_separated_points_corollary", "not_tau_s_open_at"),
+    ("check_conv_props", "cycle, target, fell_convergence, selection_conditions, primitive_characterization"),
+    ("run_check", "structural_error"),
+}
+
+# the FAIL returns no corruption reaches: ROADMAP item 12 asks for a
+# corruption that reaches each, or a proof that an earlier branch shadows
+# it and its deletion
+UNMINED_FAIL_SITES = {
+    ("check_eta_closure_and_density", "not_dense=Fprime in (F,tau_w)"),
+    ("check_eta_closure_and_density", "not_closed=L in (F,tau_w)"),
+    ("check_eta_closure_and_density", "not_closed=L in (F,tau_s)"),
+    ("check_cont_iff_maximal", "ml_member_outside_L"),
+    ("check_separated_iff_maximal", "ml_member_outside_L"),
+    ("check_gdelta_ML", "ml_member_outside_L"),
+    ("check_cont_iff_maximal", "element, tau_w_nbhd, tau_s_nbhd"),
+    ("check_local_compactness", "carrier, element"),
+    ("check_product_structure", "not_a_topology_at"),
+    ("check_separated_points_corollary", "not_dense_in_ML"),
+}
+
+
+def test_mining_reaches_the_listed_fail_sites():
+    # mining every space with n <= 3 under a line tracer: a new FAIL branch
+    # that no corruption reaches, or a listed one that stops being reached,
+    # fails here
+    sites = fail_sites()
+    assert set(sites) == MINED_FAIL_SITES | UNMINED_FAIL_SITES and len(sites) == 25
+    seen = lines_run(theorems.__file__, lambda: [mine_check_failures(space) for space in spaces_upto(3, start=1)])
+    assert {key for key, lines in sites.items() if lines & seen} == MINED_FAIL_SITES
+
+
 def test_sequence_and_product_checks_are_exact():
     # what `sweep 4` and `verify` on the benchmark documents run: neither
     # check samples, and every in-budget sequence is counted
@@ -533,7 +662,7 @@ def test_local_compactness_matches_per_open_construction():
             seen.add(key)
             got = run_check("check_local_compactness", space, env)
             try:
-                want = per_open_local_compactness(space, env)
+                want = per_open_local_compactness(env)
             except NotOpen as exc:
                 want = CheckResult(
                     "check_local_compactness",
@@ -583,9 +712,10 @@ def test_compactness_checks_are_decided_by_the_precheck():
 def conv_props_against_oracle(spaces, budgets):
     """Run ``check_conv_props`` and ``oracle.per_cycle_conv_props`` at each
     budget on the honest and every corrupted environment of each space,
-    and assert that status, witness and notes agree. The check reads only
-    F and its two tables, so environments that share them are run once.
-    Returns the statuses seen."""
+    and assert that status and witness agree, and the notes too at the
+    oracle's default budget, the one the check's note counts. The check
+    reads only F and its two tables, so environments that share them are
+    run once. Returns the statuses seen."""
     seen = set()
     statuses = []
     for space in spaces:
@@ -594,11 +724,13 @@ def conv_props_against_oracle(spaces, budgets):
             if key in seen:
                 continue
             seen.add(key)
+            got = check_conv_props(env)
             for max_pre, max_cycle in budgets:
-                got = check_conv_props(space, env, max_pre=max_pre, max_cycle=max_cycle)
-                want = per_cycle_conv_props(space, env, max_pre=max_pre, max_cycle=max_cycle)
-                assert (got.status, got.witness, got.notes) == (want.status, want.witness, want.notes)
-                statuses.append(got.status)
+                want = per_cycle_conv_props(env, max_pre=max_pre, max_cycle=max_cycle)
+                assert (got.status, got.witness) == (want.status, want.witness)
+                if (max_pre, max_cycle) == (1, 2):
+                    assert got.notes == want.notes
+            statuses.append(got.status)
     return statuses
 
 
@@ -636,7 +768,7 @@ def test_conv_props_names_a_target_strictly_above_the_closure(discrete2):
     rows = list(build_topology(f, "s").rows)
     rows[3] |= 1 << 1
     env = CheckEnv(discrete2, carriers=cars, topologies={("F", "s"): HyperTopology(f, "s", tuple(rows))})
-    got = check_conv_props(discrete2, env)
+    got = check_conv_props(env)
     assert (got.status, got.witness) == (
         FAIL,
         (
@@ -647,7 +779,17 @@ def test_conv_props_names_a_target_strictly_above_the_closure(discrete2):
             ("primitive_characterization", "false"),
         ),
     )
-    assert got == per_cycle_conv_props(discrete2, env)
+    assert got == per_cycle_conv_props(env)
+
+
+def test_conv_props_on_an_empty_carrier(sierpinski):
+    # no space has an empty F carrier, but a hand-built one is decided
+    # like any other: no term fails, and the note counts nothing
+    env = CheckEnv(sierpinski, carriers={**carriers(sierpinski), "F": HyperCarrier(sierpinski, "F", ())})
+    got = run_check("check_conv_props", sierpinski, env)
+    assert got == per_cycle_conv_props(env)
+    assert (got.status, got.witness) == (PROXY, ())
+    assert "0 cycles, 0 sequences" in got.notes
 
 
 def test_checks_never_build_near_on_an_honest_carrier():
