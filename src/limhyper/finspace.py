@@ -8,9 +8,7 @@ safe to share between parallel workers.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
 
@@ -18,6 +16,27 @@ from .errors import AxiomViolation, BudgetExceeded, GroundMismatch, InvariantVio
 
 MAX_POINTS = 16
 MAX_ENUM_POINTS = 5
+
+
+class lazy:
+    """A value computed on first read and stored in the instance
+    ``__dict__``, where later reads find it before this non-data
+    descriptor; a value stored there in advance is never recomputed.
+    ``functools.cached_property`` does the same from Python 3.12 on, but
+    before that it takes a lock on every first read."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def full_mask(n: int) -> int:
@@ -151,7 +170,7 @@ class FinTopSpace:
     def full(self) -> int:
         return full_mask(self.n)
 
-    @cached_property
+    @lazy
     def rows(self) -> tuple[int, ...]:
         """``rows[x]`` is the minimal neighborhood of the point x, computed
         once per space."""
@@ -161,7 +180,7 @@ class FinTopSpace:
                 rows[x] &= u
         return tuple(rows)
 
-    @cached_property
+    @lazy
     def closures(self) -> tuple[int, ...]:
         """``closures[x]`` is cl{x}, the transpose of ``rows``: y lies in
         cl{x} exactly when x lies in every open around y."""
@@ -382,5 +401,7 @@ def enumerate_topologies(n: int) -> Iterator[FinTopSpace]:
 
 def digest(space: FinTopSpace) -> str:
     """Short stable identifier of a space, derived from its canonical form."""
+    import hashlib  # loaded on the first digest, not by every import
+
     payload = f"{space.n}|{','.join(map(str, space.opens))}"
     return hashlib.sha256(payload.encode()).hexdigest()[:12]

@@ -17,9 +17,8 @@ of ``HyperTopology.rows``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .finspace import bits, component, is_separated, mask_of, meet_of, transpose, union_of
+from .finspace import bits, component, is_separated, lazy, mask_of, meet_of, transpose, union_of
 from .limitsets import HyperCarrier
 
 FLAVORS = ("w", "s")
@@ -43,11 +42,11 @@ class HyperTopology:
     def __len__(self) -> int:
         return len(self.carrier.elements)
 
-    @cached_property
+    @lazy
     def cols(self) -> tuple[int, ...]:
         return transpose(self.rows, len(self))
 
-    @cached_property
+    @lazy
     def open_rows(self) -> int:
         """Mask of the indices i whose row is open: rows[j] lies inside
         rows[i] for every j in rows[i]. Every row of a topology's table is

@@ -12,10 +12,9 @@ subfamilies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import GroundMismatch, NotInCarrier
-from .finspace import FinTopSpace, _check_subset, closed_sets, meet_of, set_repr, transpose, union_of
+from .finspace import FinTopSpace, _check_subset, closed_sets, lazy, meet_of, set_repr, transpose, union_of
 
 CARRIER_KINDS = ("F", "Fprime", "L", "Lprime", "ML")
 
@@ -56,12 +55,12 @@ class HyperCarrier:
             return rows
         return tuple(row >> 1 for row in rows[1:])
 
-    @cached_property
+    @lazy
     def _positions(self) -> dict[int, int]:
         # filled back to front, so a repeated mask maps to its first index
         return {m: i for i, m in reversed(tuple(enumerate(self.elements)))}
 
-    @cached_property
+    @lazy
     def holding(self) -> tuple[int, ...]:
         """``holding[x]``: mask of the carrier indices whose element holds x,
         the transpose of the elements."""
@@ -76,20 +75,20 @@ class HyperCarrier:
         """Mask of the carrier indices whose element meets ``points``."""
         return union_of(self.holding, points)
 
-    @cached_property
+    @lazy
     def near(self) -> tuple[int, ...]:
         """``near[x]``: mask of the carrier indices whose element meets
         min_nbhd(x)."""
         return tuple(self.meeting(row) for row in self.space.rows)
 
-    @cached_property
+    @lazy
     def closed(self) -> bool:
         """Whether every element is closed. A closed set meets min_nbhd(x)
         only if it holds x, so this is ``near == holding``; ``carriers``
         records it without building ``near``."""
         return self.near == self.holding
 
-    @cached_property
+    @lazy
     def subsets(self) -> tuple[int, ...]:
         """``subsets[i]``: mask of the carrier indices whose element lies
         inside element i, the elements missing every point outside it."""
@@ -99,7 +98,7 @@ class HyperCarrier:
         full = self.space.full
         return tuple(full_k & ~self.meeting(full & ~a) for a in self.elements)
 
-    @cached_property
+    @lazy
     def supersets(self) -> tuple[int, ...]:
         """``supersets[i]``: mask of the carrier indices whose element
         contains element i, the elements holding each of its points."""

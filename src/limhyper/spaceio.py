@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DuplicateLabel, ParseError
-from .finspace import FinTopSpace, from_preorder, validate_topology
+from .errors import DuplicateLabel, GroundMismatch, ParseError
+from .finspace import MAX_POINTS, FinTopSpace, from_preorder, validate_topology
 from .theorems import CheckResult, VerificationReport
 
 REPORT_SCHEMA = 1
@@ -51,14 +51,22 @@ def parse_space(text: str) -> LabeledSpace:
     if not isinstance(doc, dict):
         raise ParseError("space document must be a JSON object")
     points = doc.get("points")
-    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+    if not isinstance(points, list):
+        raise ParseError("'points' must be a list of string labels")
+    # refused by its length alone, before any label is read or any open
+    # mask is built
+    if len(points) > MAX_POINTS:
+        raise GroundMismatch(f"point count {len(points)} outside 0..{MAX_POINTS}")
+    if not all(isinstance(p, str) for p in points):
         raise ParseError("'points' must be a list of string labels")
     for p in points:
         if not p or any(ch in "{}," or ch.isspace() for ch in p):
             raise ParseError(f"point label {p!r} must be nonempty without braces, commas or spaces")
-    if len(set(points)) != len(points):
-        dup = next(p for i, p in enumerate(points) if p in points[:i])
-        raise DuplicateLabel(f"point label {dup!r} declared twice")
+    seen = set()
+    for p in points:
+        if p in seen:
+            raise DuplicateLabel(f"point label {p!r} declared twice")
+        seen.add(p)
     labels = tuple(points)
 
     has_opens = "opens" in doc

@@ -17,7 +17,6 @@ import os
 import time
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import Pool
 
 from .errors import BudgetExceeded, NotInCarrier, NotOpen
 from .finspace import (
@@ -618,6 +617,15 @@ def _sweep_task(n: int, prefix: tuple[int, ...]) -> tuple[int, int, tuple[tuple[
                 failures += 1
                 first.setdefault(r.check_id, report.space_digest)
     return count, failures, tuple(first.items())
+
+
+def Pool(workers: int):
+    """``multiprocessing.Pool(workers)``, imported only by a sweep that
+    starts workers. ``sweep`` looks the pool up by this name, so a
+    stand-in can replace it."""
+    from multiprocessing import Pool as pool
+
+    return pool(workers)
 
 
 def sweep(n: int, long_run: bool = False, jobs: int | None = None) -> SweepResult:

@@ -52,9 +52,11 @@ def test_validate_axiom_failure(tmp_path, capsys):
 
 def test_parse_error_exit_code(tmp_path, capsys):
     p = tmp_path / "broken.json"
-    p.write_text("{")
-    assert run(["validate", str(p)]) == 2
-    assert "error:" in capsys.readouterr().err
+    points = [f"p{i}" for i in range(17)]
+    for text in ("{", json.dumps({"points": points, "opens": [[], points]})):
+        p.write_text(text)
+        assert run(["validate", str(p)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(capsys):
@@ -261,6 +263,61 @@ def test_console_entry_point(sierpinski_file):
     )
     assert proc.returncode == 0
     assert "valid" in proc.stdout
+
+
+# Modules that no document command runs: a fresh `import limhyper` and a
+# `validate` load none of them, and a one-process sweep loads no pool
+COLD_START = """
+import json, sys
+LAZY = ("multiprocessing", "hashlib", "limhyper.oracle")
+import limhyper
+loaded = [[m for m in LAZY if m in sys.modules]]
+from limhyper import cli
+code = cli.run(["validate", sys.argv[1]])
+loaded.append([m for m in LAZY if m in sys.modules])
+limhyper.sweep(3, jobs=1)
+loaded.append([m for m in LAZY[:1] if m in sys.modules])
+print(json.dumps([code, loaded]))
+"""
+
+ORACLE_EXPORTS = (
+    "S_of",
+    "basic_open_membership",
+    "conv1_conditions",
+    "identity_continuous_at",
+    "inclusion_relation",
+    "is_hausdorff",
+    "is_limit_set_oracle",
+    "is_primitive",
+    "min_nbhd_oracle",
+    "product_is_closed",
+    "product_min_nbhd",
+    "seq_clusters",
+)
+
+
+def test_fresh_import_loads_only_what_a_command_runs(sierpinski_file):
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, sierpinski_file],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == [[], [], []]
+
+
+def test_oracle_exports_resolve_on_first_use():
+    import limhyper
+    import limhyper.oracle
+
+    listed = dir(limhyper)
+    for name in ORACLE_EXPORTS:
+        assert getattr(limhyper, name) is getattr(limhyper.oracle, name)
+        assert name in listed
+    with pytest.raises(AttributeError):
+        limhyper.no_such_name
 
 
 def test_unreadable_path_is_a_usage_error(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from limhyper import (
     AxiomViolation,
     DuplicateLabel,
+    GroundMismatch,
     ParseError,
     emit_report,
     parse_report,
@@ -35,6 +36,35 @@ def test_parse_space_preorder_matches_up_set_convention():
 def test_parse_space_duplicate_label():
     with pytest.raises(DuplicateLabel):
         parse_space('{"points": ["a", "a"], "opens": [[], ["a"]]}')
+
+
+def test_parse_space_refuses_too_many_points_before_reading_them(monkeypatch):
+    # a 17th label is refused by the count alone: the repeat at the end is
+    # never looked for and no open mask is built, as no list of the
+    # document is iterated
+    reads = []
+
+    class Recorded(list):
+        def __iter__(self):
+            reads.append(self)
+            return super().__iter__()
+
+    real_loads = json.loads
+
+    def loads(text):
+        return {key: Recorded(value) for key, value in real_loads(text).items()}
+
+    monkeypatch.setattr(json, "loads", loads)
+    labels = [f"p{i}" for i in range(16)]
+    for key, value in (("opens", [[], labels]), ("preorder", [["p0", "p1"]])):
+        with pytest.raises(GroundMismatch):
+            parse_space(json.dumps({"points": labels + ["p0"], key: value}))
+        assert reads == []
+        # at the cap the labels are read, and the repeat is then found
+        with pytest.raises(DuplicateLabel):
+            parse_space(json.dumps({"points": labels[:15] + ["p0"], key: value}))
+        assert reads
+        reads.clear()
 
 
 def test_parse_space_rejects_unrenderable_labels():
