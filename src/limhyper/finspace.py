@@ -258,9 +258,10 @@ def min_nbhd(space: FinTopSpace, x: int) -> int:
 
 
 def closed_sets(space: FinTopSpace) -> tuple[int, ...]:
-    """Complements of the opens, canonically ordered."""
+    """Complements of the opens, canonically ordered: complement maps the key
+    (|u|, u) to (n - |u|, full - u), so it reverses the order of the opens."""
     full = space.full
-    return tuple(sorted((full ^ u for u in space.opens), key=canonical_key))
+    return tuple(full ^ u for u in reversed(space.opens))
 
 
 def is_T0(space: FinTopSpace) -> bool:

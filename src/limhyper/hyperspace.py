@@ -91,10 +91,8 @@ def build_topology(car: HyperCarrier, flavor: str) -> HyperTopology:
     complement of A, so the tightest miss constraint around A is exactly
     that complement, and the row is ANDed with ``car.subsets[i]``.
 
-    When every element is closed (``car.closed``: ``carriers`` records it,
-    and any other carrier decides it as ``near == holding``, since a closed
-    set meets min_nbhd(x) only if it holds x), B meets min_nbhd(x) iff x
-    is in B, so the tau_w row of A is ``car.supersets[i]``, its columns are
+    When every element is closed (``car.closed``), ``near`` is ``holding``,
+    so the tau_w row of A is ``car.supersets[i]``, its columns are
     ``car.subsets`` and the tau_s row is ``supersets[i] & subsets[i]``,
     the elements equal to A: tau_w is inclusion and tau_s is discrete.
 

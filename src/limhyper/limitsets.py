@@ -78,14 +78,16 @@ class HyperCarrier:
     @lazy
     def near(self) -> tuple[int, ...]:
         """``near[x]``: mask of the carrier indices whose element meets
-        min_nbhd(x)."""
+        min_nbhd(x); ``holding`` itself once ``closed`` is recorded."""
+        if self.__dict__.get("closed"):
+            return self.holding
         return tuple(self.meeting(row) for row in self.space.rows)
 
     @lazy
     def closed(self) -> bool:
-        """Whether every element is closed. A closed set meets min_nbhd(x)
-        only if it holds x, so this is ``near == holding``; ``carriers``
-        records it without building ``near``."""
+        """Whether every element is closed: a closed set meets min_nbhd(x)
+        exactly when it holds x, so this is ``near == holding``. ``carriers``
+        records it on every honest carrier."""
         return self.near == self.holding
 
     @lazy
@@ -152,20 +154,20 @@ def eta(space: FinTopSpace, x: int) -> int:
 def carriers(space: FinTopSpace) -> dict[str, HyperCarrier]:
     """The five carriers F, Fprime, L, Lprime, ML, keyed by kind, in one pass.
 
-    The closed sets are sorted once and the limit-set predicate is tested
-    once on each; the other kinds are filters that keep the order. L keeps
-    the closed limit sets, Fprime and Lprime drop the empty set, and ML
-    keeps the inclusion-maximal nonempty closed limit sets; the closure of
-    a limit set is again one, so they are maximal among all limit sets.
-    Scanned from the largest down, a set is maximal when no maximal set
+    The closed sets come sorted from ``closed_sets`` and the limit-set
+    predicate is tested once on each; the other kinds are filters that keep
+    the order. L keeps the closed limit sets, Fprime and Lprime drop the empty
+    set, and ML keeps the inclusion-maximal nonempty closed limit sets; the
+    closure of a limit set is again one, so they are maximal among all limit
+    sets. Scanned from the largest down, a set is maximal when no maximal set
     found so far contains it, as a strict superset lies under one of those.
 
     The empty set comes first in canonical order, so Fprime takes its
     tables from F, L from F when every closed set is a limit set, and
     Lprime from Fprime then, else from L (``HyperCarrier.base``); the
     tables are built on first use. Every element is the complement of an
-    open, so each carrier records ``closed``, and ML, an antichain, records
-    the identity as its ``subsets`` and ``supersets``.
+    open, so each carrier records ``closed`` (its ``near`` is ``holding``),
+    and ML, an antichain, the identity as its ``subsets`` and ``supersets``.
     """
     closed = closed_sets(space)
     limits = tuple(c for c in closed if meet_of(space.rows, c, space.full))

@@ -19,6 +19,14 @@ from .theorems import CheckResult, VerificationReport
 REPORT_SCHEMA = 1
 
 
+def _refuse_repeats(points: list) -> None:
+    seen = set()
+    for p in points:
+        if p in seen:
+            raise DuplicateLabel(f"point label {p!r} declared twice")
+        seen.add(p)
+
+
 @dataclass(frozen=True)
 class LabeledSpace:
     space: FinTopSpace
@@ -62,11 +70,7 @@ def parse_space(text: str) -> LabeledSpace:
     for p in points:
         if not p or any(ch in "{}," or ch.isspace() for ch in p):
             raise ParseError(f"point label {p!r} must be nonempty without braces, commas or spaces")
-    seen = set()
-    for p in points:
-        if p in seen:
-            raise DuplicateLabel(f"point label {p!r} declared twice")
-        seen.add(p)
+    _refuse_repeats(points)
     labels = tuple(points)
 
     has_opens = "opens" in doc
@@ -158,6 +162,7 @@ def parse_report(text: str) -> VerificationReport:
         points, digest = doc["space"]["points"], doc["space"]["digest"]
         if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
             raise ParseError("'points' must be a list of string labels")
+        _refuse_repeats(points)
         if not isinstance(digest, str):
             raise ParseError("'digest' must be a string")
         results = []

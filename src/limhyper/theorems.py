@@ -46,7 +46,7 @@ from .hyperspace import (
     is_separated_in,
     product_closure,
 )
-from .limitsets import HyperCarrier, carriers as build_carriers, eta, is_limit_set
+from .limitsets import HyperCarrier, carriers as build_carriers, eta
 
 PASS = "pass"
 FAIL = "fail"
@@ -93,9 +93,11 @@ class CheckEnv:
         self.labels = tuple(labels) if labels else default_labels(space.n)
         if len(self.labels) != space.n:
             raise ValueError(f"{len(self.labels)} labels given for a space of {space.n} points")
-        repeated = [label for i, label in enumerate(self.labels) if label in self.labels[:i]]
-        if repeated:
-            raise ValueError(f"label {repeated[0]!r} names more than one point")
+        seen = set()
+        for label in self.labels:
+            if label in seen:
+                raise ValueError(f"label {label!r} names more than one point")
+            seen.add(label)
         self._carriers: dict[str, HyperCarrier] = dict(carriers or {})
         self._topologies: dict[tuple[str, str], HyperTopology] = dict(topologies or {})
 
@@ -191,29 +193,27 @@ def _ml_inside_l(env):
     return ml, None
 
 
+def _first_disagreement(prop: int, ml: int) -> int | None:
+    """The lowest L index whose bit in ``prop`` differs from its ML bit in ``ml``, or None."""
+    bad = prop ^ ml
+    return (bad & -bad).bit_length() - 1 if bad else None
+
+
 def check_cont_iff_maximal(env):
     """Identity map from (L, tau_w) to (L, tau_s) is continuous exactly at
     the maximal limit sets, and the two topologies agree on ML. The map is
     continuous at element i when its tau_w row lies inside its tau_s row."""
     cid = "check_cont_iff_maximal"
-    lcar = env.carrier("L")
     tw = env.topology("L", "w")
     ts = env.topology("L", "s")
     ml, bad = _ml_inside_l(env)
     if bad:
         return CheckResult(cid, FAIL, witness=bad)
-    for i, a in enumerate(lcar.elements):
-        cont = not tw.rows[i] & ~ts.rows[i]
-        if cont != bool((ml >> i) & 1):
-            return CheckResult(
-                cid,
-                FAIL,
-                witness=(
-                    ("element", env.fmt(a)),
-                    ("continuous", str(cont).lower()),
-                    ("maximal", _flag(ml, i)),
-                ),
-            )
+    cont = mask_of(i for i, (w, s) in enumerate(zip(tw.rows, ts.rows)) if not w & ~s)
+    i = _first_disagreement(cont, ml)
+    if i is not None:
+        a = env.fmt(tw.carrier.elements[i])
+        return CheckResult(cid, FAIL, witness=(("element", a), ("continuous", _flag(cont, i)), ("maximal", _flag(ml, i))))
     tmw = env.topology("ML", "w")
     tms = env.topology("ML", "s")
     for i, m in enumerate(env.carrier("ML").elements):
@@ -234,23 +234,15 @@ def check_separated_iff_maximal(env):
     """An element of (L, tau_w) is a separated point exactly when it is a
     maximal limit set."""
     cid = "check_separated_iff_maximal"
-    lcar = env.carrier("L")
     tw = env.topology("L", "w")
     ml, bad = _ml_inside_l(env)
     if bad:
         return CheckResult(cid, FAIL, witness=bad)
-    for i, a in enumerate(lcar.elements):
-        sep = is_separated_in(tw, i)
-        if sep != bool((ml >> i) & 1):
-            return CheckResult(
-                cid,
-                FAIL,
-                witness=(
-                    ("element", env.fmt(a)),
-                    ("separated", str(sep).lower()),
-                    ("maximal", _flag(ml, i)),
-                ),
-            )
+    sep = mask_of(i for i in range(len(tw)) if is_separated_in(tw, i))
+    i = _first_disagreement(sep, ml)
+    if i is not None:
+        a = env.fmt(tw.carrier.elements[i])
+        return CheckResult(cid, FAIL, witness=(("element", a), ("separated", _flag(sep, i)), ("maximal", _flag(ml, i))))
     return CheckResult(cid, PASS)
 
 
@@ -310,7 +302,7 @@ def check_local_compactness(env):
     witnessed = 0
     for kind in ("F", "Fprime", "L", "Lprime"):
         t = env.topology(kind, "w")
-        near = [t.carrier.meeting(row) for row in env.space.rows]
+        near = t.carrier.near
         for a in t.carrier.elements:
             # the basic neighborhood hit(min_nbhd(x) : x in a): it holds a and
             # lies in hit(u) for each open u meeting a, as min_nbhd(x) <= u
@@ -715,10 +707,10 @@ def corrupted_environments(space: FinTopSpace):
     def with_table(t):
         return CheckEnv(space, carriers=carriers, topologies={**tables, (t.carrier.kind, t.flavor): t})
 
+    # the first non-closed set in canonical order: the empty set and the
+    # singletons lead it, and if every singleton is closed so is every set
     closed = set(carriers["F"].elements)
-    all_subsets = sorted(range(space.full + 1), key=canonical_key)
-
-    non_closed = next((m for m in all_subsets if m not in closed), None)
+    non_closed = next((1 << x for x, cl in enumerate(space.closures) if cl != 1 << x), None)
     if non_closed is not None:
         yield ("non-closed set injected into F", with_carrier(_canon_carrier(space, "F", closed | {non_closed})))
 
@@ -727,7 +719,8 @@ def corrupted_environments(space: FinTopSpace):
     if non_limit is not None:
         yield ("non-limit closed set injected into L", with_carrier(_canon_carrier(space, "L", lset | {non_limit})))
 
-    if non_closed is not None and is_limit_set(space, non_closed):
+    # a singleton is a limit set: the opens meeting it share its point
+    if non_closed is not None:
         yield ("non-closed set injected into L", with_carrier(_canon_carrier(space, "L", lset | {non_closed})))
 
     mlset = set(carriers["ML"].elements)

@@ -154,6 +154,14 @@ def test_parse_report_rejects_fields_that_are_not_strings(sierpinski):
             parse_report(json.dumps(bad))
 
 
+def test_parse_report_refuses_a_repeated_point_label(sierpinski):
+    # verify never emits such a report: its labels name one point each
+    doc = json.loads(emit_report(verify_all(sierpinski, labels=("a", "b")), "json"))
+    for points in (["a", "a"], ["a", "b", "a"]):
+        with pytest.raises(DuplicateLabel, match="'a' declared twice"):
+            parse_report(json.dumps(dict(doc, space={"digest": "abc", "points": points})))
+
+
 def test_emit_is_deterministic(three_point):
     a = emit_report(verify_all(three_point), "json")
     b = emit_report(verify_all(three_point), "json")

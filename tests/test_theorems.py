@@ -18,6 +18,7 @@ from limhyper import (
     carriers,
     enumerate_topologies,
     hyper_closure,
+    is_limit_set,
     mine_check_failures,
     run_check,
     sweep,
@@ -25,7 +26,7 @@ from limhyper import (
     verify_all,
 )
 from limhyper import theorems
-from limhyper.finspace import digest, mask_of, preorder_prefixes, union_of
+from limhyper.finspace import canonical_key, closed_sets, digest, mask_of, preorder_prefixes, union_of
 from limhyper.hyperspace import FLAVORS, HyperTopology, build_topology, is_dense
 from limhyper.limitsets import CARRIER_KINDS, HyperCarrier
 from limhyper.oracle import dense_open_meet_oracle, per_cycle_conv_props, per_open_local_compactness
@@ -793,14 +794,46 @@ def test_conv_props_on_an_empty_carrier(sierpinski):
 
 
 def test_checks_never_build_near_on_an_honest_carrier():
-    # every honest carrier records ``closed``, so no table falls back to
-    # the general form that reads ``near``
+    # every honest carrier records ``closed``, so its ``near`` is its
+    # ``holding``, the same tuple, whether a check read it or not: no
+    # check ORs ``holding`` over minimal neighborhoods on such a carrier
     for space in spaces_upto(4, start=1):
         env = CheckEnv(space)
         for cid in CHECKS:
             run_check(cid, space, env)
         for kind in CARRIER_KINDS:
-            assert "near" not in vars(env.carrier(kind)), (space, kind)
+            car = env.carrier(kind)
+            assert car.near is car.holding, (space, kind)
+
+
+def _first_non_closed_by_scan(space):
+    """The first set in canonical order that is not closed, found by
+    sorting all 2^n subsets: the reference for mining's pick."""
+    closed = {space.full ^ u for u in space.opens}
+    subsets = sorted(range(space.full + 1), key=canonical_key)
+    return next((m for m in subsets if m not in closed), None)
+
+
+def test_closed_sets_order_and_the_non_closed_pick_match_their_scans():
+    # ``closed_sets`` reverses the canonical opens instead of sorting, and
+    # mining injects a non-closed singleton instead of scanning every
+    # subset; both against the sort they replace, on every space with
+    # n <= 5 and the four benchmark documents
+    injected_into = {"non-closed set injected into F": "F", "non-closed set injected into L": "L"}
+    for space in [*spaces_upto(5), *bench_doc_spaces()]:
+        closed = closed_sets(space)
+        assert closed == tuple(sorted((space.full ^ u for u in space.opens), key=canonical_key)), space
+        expected = _first_non_closed_by_scan(space)
+        picked = {}
+        for description, env in corrupted_environments(space):
+            kind = injected_into.get(description)
+            if kind is not None:
+                (picked[kind],) = set(env.carrier(kind).elements).difference(closed)
+        if expected is None:
+            assert picked == {}, space
+        else:
+            assert picked["F"] == expected, space
+            assert picked.get("L") == (expected if is_limit_set(space, expected) else None), space
 
 
 def test_carrier_elements_have_distinct_subsets_masks(carrier_corpus):
