@@ -8,7 +8,6 @@ safe to share between parallel workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
 
@@ -155,7 +154,13 @@ def family_repr(masks: Iterable[int], labels: tuple[str, ...] | None = None) -> 
     return "[" + " ".join(set_repr(m, labels) for m in sorted(masks, key=canonical_key)) + "]"
 
 
-@dataclass(frozen=True)
+def _immutable(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the value classes, whose
+    ``__init__`` fills ``__dict__`` directly and whose ``lazy`` values
+    are stored there too."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class FinTopSpace:
     """A validated finite topology: point count plus its open-set family.
 
@@ -163,8 +168,18 @@ class FinTopSpace:
     compare equal and serialize identically.
     """
 
-    n: int
-    opens: tuple[int, ...]
+    def __init__(self, n: int, opens: tuple[int, ...]):
+        self.__dict__.update(n=n, opens=opens)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.opens == other.opens
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.opens))
 
     @property
     def full(self) -> int:

@@ -16,15 +16,12 @@ of ``HyperTopology.rows``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .finspace import bits, component, is_separated, lazy, mask_of, meet_of, transpose, union_of
+from .finspace import _immutable, bits, component, is_separated, lazy, mask_of, meet_of, transpose, union_of
 from .limitsets import HyperCarrier
 
 FLAVORS = ("w", "s")
 
 
-@dataclass(frozen=True)
 class HyperTopology:
     """Minimal-neighborhood table of tau_w or tau_s restricted to a carrier.
 
@@ -35,9 +32,21 @@ class HyperTopology:
     element j.
     """
 
-    carrier: HyperCarrier
-    flavor: str
-    rows: tuple[int, ...]
+    def __init__(self, carrier: HyperCarrier, flavor: str, rows: tuple[int, ...]):
+        self.__dict__.update(carrier=carrier, flavor=flavor, rows=rows)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.carrier == other.carrier and self.flavor == other.flavor and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.carrier, self.flavor, self.rows))
+
+    def __repr__(self) -> str:
+        return f"HyperTopology(carrier={self.carrier!r}, flavor={self.flavor!r}, rows={self.rows!r})"
 
     def __len__(self) -> int:
         return len(self.carrier.elements)
@@ -64,19 +73,29 @@ class HyperTopology:
         return tuple(frozenset(bits(row)) for row in self.rows)
 
 
-@dataclass(frozen=True)
 class EvPerSeq:
     """An eventually periodic sequence: a finite preperiod and a nonempty
     cycle repeated forever. Entries are carrier indices for topology-level
     operations and closed-set masks for the point-selection conditions.
     """
 
-    preperiod: tuple[int, ...]
-    cycle: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.cycle:
+    def __init__(self, preperiod: tuple[int, ...], cycle: tuple[int, ...]):
+        if not cycle:
             raise ValueError("cycle must be nonempty")
+        self.__dict__.update(preperiod=preperiod, cycle=cycle)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.preperiod == other.preperiod and self.cycle == other.cycle
+
+    def __hash__(self) -> int:
+        return hash((self.preperiod, self.cycle))
+
+    def __repr__(self) -> str:
+        return f"EvPerSeq(preperiod={self.preperiod!r}, cycle={self.cycle!r})"
 
 
 def build_topology(car: HyperCarrier, flavor: str) -> HyperTopology:

@@ -11,14 +11,12 @@ subfamilies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import GroundMismatch, NotInCarrier
-from .finspace import FinTopSpace, _check_subset, closed_sets, lazy, meet_of, set_repr, transpose, union_of
+from .finspace import FinTopSpace, _check_subset, _immutable, closed_sets, lazy, meet_of, set_repr, transpose, union_of
 
 CARRIER_KINDS = ("F", "Fprime", "L", "Lprime", "ML")
 
-@dataclass(frozen=True)
+
 class HyperCarrier:
     """An indexed family of subsets of one space, e.g. F(X) or ML(X).
 
@@ -31,22 +29,29 @@ class HyperCarrier:
     empty set holds no point and lies inside every set, so dropping it
     drops base's first row and bit 0 of every row: each row shifts right
     one bit, and ``holding``, one row per point, keeps all its rows.
+    Equality, hashing and ``repr`` read the space, kind and elements
+    only, not ``base``.
     """
 
-    space: FinTopSpace
-    kind: str
-    elements: tuple[int, ...]
-    base: HyperCarrier | None = field(default=None, compare=False, repr=False)
+    def __init__(self, space: FinTopSpace, kind: str, elements: tuple[int, ...], base: HyperCarrier | None = None):
+        if base is not None:
+            elems = base.elements
+            if base.space != space or not (elems == elements or elems[:1] == (0,) and elems[1:] == elements):
+                raise ValueError(f"carrier {base.kind} holds neither the elements of {kind} nor the empty set before them")
+        self.__dict__.update(space=space, kind=kind, elements=elements, base=base)
 
-    def __post_init__(self):
-        base = self.base
-        if base is None:
-            return
-        elems = base.elements
-        if base.space != self.space or not (
-            elems == self.elements or elems[:1] == (0,) and elems[1:] == self.elements
-        ):
-            raise ValueError(f"carrier {base.kind} holds neither the elements of {self.kind} nor the empty set before them")
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.space == other.space and self.kind == other.kind and self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.kind, self.elements))
+
+    def __repr__(self) -> str:
+        return f"HyperCarrier(space={self.space!r}, kind={self.kind!r}, elements={self.elements!r})"
 
     def _from_base(self, rows: tuple[int, ...]) -> tuple[int, ...]:
         # base's per-element table: the same tuple, or without its first row

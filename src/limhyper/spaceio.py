@@ -10,7 +10,7 @@ trips through :func:`parse_report`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DuplicateLabel, GroundMismatch, ParseError
 from .finspace import MAX_POINTS, FinTopSpace, from_preorder, validate_topology
@@ -27,8 +27,7 @@ def _refuse_repeats(points: list) -> None:
         seen.add(p)
 
 
-@dataclass(frozen=True)
-class LabeledSpace:
+class LabeledSpace(NamedTuple):
     space: FinTopSpace
     labels: tuple[str, ...]
 

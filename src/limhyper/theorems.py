@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, NotInCarrier, NotOpen
 from .finspace import (
@@ -56,16 +56,14 @@ PROXY = "proxy"
 _ALPHABET = "abcdefghijklmnop"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     status: str
     witness: tuple[tuple[str, str], ...] = ()
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     space_digest: str
     n: int
     labels: tuple[str, ...]
@@ -586,8 +584,7 @@ def verify_all(space: FinTopSpace, labels=None) -> VerificationReport:
     )
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     n: int
     space_count: int
     failure_count: int
@@ -670,8 +667,7 @@ def sweep(n: int, long_run: bool = False, jobs: int | None = None) -> SweepResul
     )
 
 
-@dataclass
-class MiningHit:
+class MiningHit(NamedTuple):
     description: str
     labels: tuple[str, ...]
     result: CheckResult

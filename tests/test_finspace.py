@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -8,7 +9,14 @@ from conftest import bench_doc_spaces, loop_transpose, spaces_upto
 from limhyper import (
     AxiomViolation,
     BudgetExceeded,
+    CheckResult,
+    EvPerSeq,
     GroundMismatch,
+    HyperCarrier,
+    HyperTopology,
+    LabeledSpace,
+    SweepResult,
+    VerificationReport,
     closed_sets,
     closure,
     enumerate_topologies,
@@ -47,6 +55,7 @@ from limhyper.oracle import (
     pairwise_separated,
     set_repr_oracle,
 )
+from limhyper.theorems import MiningHit
 
 
 # ---------------------------------------------------------------- oracles
@@ -520,3 +529,73 @@ def test_members_reads_sparse_and_dense_masks_alike():
                 want = [names[i] for i in range(width) if (mask >> i) & 1]
                 assert list(members(names, mask)) == want, (width, mask)
     assert list(members(["a"], 0)) == []
+
+
+# ------------------------------------------------------------ value records
+
+def test_value_records_compare_by_their_fields_and_stay_immutable():
+    # each maker builds a fresh record from equal fields; the variants of
+    # the four hand-written classes each change one compared field
+    space = lambda: FinTopSpace(2, (0b00, 0b01, 0b11))
+    car = lambda: HyperCarrier(space(), "F", (0b00, 0b10, 0b11))
+    result = lambda: CheckResult("check_baire", "pass", (("k", "v"),), "note")
+    records = {
+        FinTopSpace: (space, [FinTopSpace(3, (0b00, 0b01, 0b11)), FinTopSpace(2, (0b00, 0b11))]),
+        HyperCarrier: (
+            car,
+            [
+                HyperCarrier(FinTopSpace(2, (0b00, 0b11)), "F", (0b00, 0b10, 0b11)),
+                HyperCarrier(space(), "L", (0b00, 0b10, 0b11)),
+                HyperCarrier(space(), "F", (0b00, 0b11)),
+            ],
+        ),
+        HyperTopology: (
+            lambda: HyperTopology(car(), "w", (7, 6, 4)),
+            [
+                HyperTopology(HyperCarrier(space(), "L", (0b00, 0b10, 0b11)), "w", (7, 6, 4)),
+                HyperTopology(car(), "s", (7, 6, 4)),
+                HyperTopology(car(), "w", (1, 2, 4)),
+            ],
+        ),
+        EvPerSeq: (lambda: EvPerSeq((0,), (1, 2)), [EvPerSeq((), (1, 2)), EvPerSeq((0,), (2, 1))]),
+        CheckResult: (result, []),
+        VerificationReport: (lambda: VerificationReport("abc", 2, ("a", "b"), (result(),), 0.5), []),
+        SweepResult: (lambda: SweepResult(2, 4, 0, (), 0.5), []),
+        MiningHit: (lambda: MiningHit("corruption", ("a", "b"), result()), []),
+        LabeledSpace: (lambda: LabeledSpace(space(), ("a", "b")), []),
+    }
+    for cls, (make, variants) in records.items():
+        a, b = make(), make()
+        assert type(a) is cls and a is not b
+        assert a == b and hash(a) == hash(b) and not a != b, cls
+        assert pickle.loads(pickle.dumps(a)) == a, cls
+        for other in variants:
+            assert a != other and not a == other, (cls, other)
+        names = a._fields if isinstance(a, tuple) else list(vars(a))
+        for name in [*names, "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a == b, cls
+    named = (CheckResult, VerificationReport, SweepResult, MiningHit, LabeledSpace)
+    assert all(issubclass(cls, tuple) for cls in named)
+    assert not any(issubclass(cls, tuple) for cls in records if cls not in named)
+
+    # base only says where the tables come from
+    f = car()
+    fp = HyperCarrier(space(), "Fprime", (0b10, 0b11), f)
+    assert fp.base is f and fp == HyperCarrier(space(), "Fprime", (0b10, 0b11))
+    assert hash(fp) == hash(HyperCarrier(space(), "Fprime", (0b10, 0b11)))
+    with pytest.raises(ValueError, match="holds neither the elements of L"):
+        HyperCarrier(space(), "L", (0b10,), f)
+    with pytest.raises(ValueError, match="cycle must be nonempty"):
+        EvPerSeq((), ())
+
+    assert repr(space()) == "FinTopSpace(n=2, opens=[{} {0} {0,1}])"
+    assert repr(fp) == "HyperCarrier(space=FinTopSpace(n=2, opens=[{} {0} {0,1}]), kind='Fprime', elements=(2, 3))"
+    assert repr(HyperTopology(f, "w", (7, 6, 4))) == (
+        "HyperTopology(carrier=HyperCarrier(space=FinTopSpace(n=2, opens=[{} {0} {0,1}]), kind='F', "
+        "elements=(0, 2, 3)), flavor='w', rows=(7, 6, 4))"
+    )
+    assert repr(EvPerSeq((0,), (1, 2))) == "EvPerSeq(preperiod=(0,), cycle=(1, 2))"

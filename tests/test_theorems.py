@@ -4,7 +4,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -197,8 +196,8 @@ def test_sweep_refuses_worker_counts_below_one(monkeypatch):
 
 def test_sweep_jobs_do_not_change_results():
     for n in range(1, 5):
-        serial = replace(sweep(n, jobs=1), elapsed_s=0.0)
-        assert replace(sweep(n, jobs=2), elapsed_s=0.0) == serial, n
+        serial = sweep(n, jobs=1)._replace(elapsed_s=0.0)
+        assert sweep(n, jobs=2)._replace(elapsed_s=0.0) == serial, n
 
 
 @pytest.fixture
@@ -455,22 +454,29 @@ def test_every_mining_hit_is_golden():
     assert (hits, h.hexdigest()) == (4240, GOLDEN_MINING_SHA256)
 
 
-def _witness_keys(witness):
+def _witness_keys(witness, check):
     """The keys of a literal witness tuple, each with its value when that
-    is a string constant: the name of one FAIL site within its check."""
-    return ", ".join(
-        key.value + (f"={value.value}" if isinstance(value, ast.Constant) else "")
-        for key, value in (pair.elts for pair in witness.elts)
-    )
+    is a string constant: the name of one FAIL site within its check. A
+    key that is not a string literal names no site, so it fails an
+    assertion that gives the check and the key's line."""
+    keys = []
+    for key, value in (pair.elts for pair in witness.elts):
+        assert isinstance(key, ast.Constant) and isinstance(key.value, str), (
+            f"{check}, line {key.lineno}: witness key {ast.unparse(key)} is not a string literal"
+        )
+        keys.append(key.value + (f"={value.value}" if isinstance(value, ast.Constant) else ""))
+    return ", ".join(keys)
 
 
-def fail_sites():
-    """Every place in ``theorems.py`` that makes a check fail, keyed by its
-    function and its witness keys, mapped to the lines of its statement:
-    each ``return CheckResult(..., FAIL, ...)`` and each raise of an error
-    that ``run_check`` turns into a FAIL. A witness passed on by name is
-    the one its helper returns."""
-    tree = ast.parse(Path(theorems.__file__).read_text(encoding="utf-8"))
+def fail_sites(source=None):
+    """Every place in ``theorems.py``, or in ``source`` when given, that
+    makes a check fail, keyed by its function and its witness keys, mapped
+    to the lines of its statement: each ``return CheckResult(..., FAIL,
+    ...)`` and each raise of an error that ``run_check`` turns into a
+    FAIL. A witness passed on by name is the one its helper returns."""
+    if source is None:
+        source = Path(theorems.__file__).read_text(encoding="utf-8")
+    tree = ast.parse(source)
     funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     sites = {}
     for fn in funcs.values():
@@ -495,7 +501,7 @@ def fail_sites():
                         if isinstance(r, ast.Return) and isinstance(r.value, ast.Tuple)
                         and isinstance(r.value.elts[pos], ast.Tuple)
                     )
-                key = _witness_keys(witness)
+                key = _witness_keys(witness, fn.name)
             else:
                 continue
             assert (fn.name, key) not in sites, (fn.name, key)
@@ -566,6 +572,19 @@ def test_mining_reaches_the_listed_fail_sites():
     assert set(sites) == MINED_FAIL_SITES | UNMINED_FAIL_SITES and len(sites) == 25
     seen = lines_run(theorems.__file__, lambda: [mine_check_failures(space) for space in spaces_upto(3, start=1)])
     assert {key for key, lines in sites.items() if lines & seen} == MINED_FAIL_SITES
+
+
+def test_fail_sites_refuse_a_witness_key_that_is_not_a_literal():
+    source = """
+def check_named_key(env):
+    key = "element"
+    if env:
+        return CheckResult("check_named_key", FAIL, witness=((key, env.fmt(0)),))
+    return CheckResult("check_named_key", PASS)
+"""
+    with pytest.raises(AssertionError, match=r"check_named_key, line 5: witness key key is not a string literal"):
+        fail_sites(source)
+    assert set(fail_sites(source.replace("(key,", '("element",'))) == {("check_named_key", "element")}
 
 
 def test_sequence_and_product_checks_are_exact():
