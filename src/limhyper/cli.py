@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run every check over all topologies on N points")
     p.add_argument("n", type=int)
-    p.add_argument("--long", action="store_true", help="allow the 5-point sweep")
+    p.add_argument("--long", action="store_true", help="allow the 5- and 6-point sweeps")
     p.add_argument("--jobs", type=int, default=None, help="worker count (default: LH_JOBS or 1)")
     p.set_defaults(func=_cmd_sweep)
 

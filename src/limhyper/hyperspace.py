@@ -16,7 +16,7 @@ of ``HyperTopology.rows``.
 
 from __future__ import annotations
 
-from .finspace import _immutable, bits, component, is_separated, lazy, mask_of, meet_of, transpose, union_of
+from .finspace import _immutable, bits, component, is_separated, lazy, mask_of, transpose, union_of
 from .limitsets import HyperCarrier
 
 FLAVORS = ("w", "s")
@@ -60,8 +60,8 @@ class HyperTopology:
         """Mask of the indices i whose row is open: rows[j] lies inside
         rows[i] for every j in rows[i]. Every row of a topology's table is
         open; a table that is not transitive has rows that are not.
-        ``build_topology`` records the full mask for its tables, so only a
-        table built directly is scanned."""
+        ``build_topology`` and mining's non-closed tables record the full
+        mask, so only a table built otherwise is scanned."""
         rows = self.rows
         return mask_of(i for i, row in enumerate(rows) if not any(rows[j] & ~row for j in bits(row)))
 
@@ -99,44 +99,30 @@ class EvPerSeq:
 
 
 def build_topology(car: HyperCarrier, flavor: str) -> HyperTopology:
-    """Closed-form minimal neighborhoods, as word operations.
+    """Closed-form minimal neighborhoods of a carrier of closed sets; a
+    carrier holding a set that is not closed is refused with ``ValueError``.
 
     tau_w: B is in the minimal neighborhood of A iff B meets every open
     that meets A, that is min_nbhd(x) for each x in A, since an open meets
-    A exactly when it contains some such min_nbhd(x); this holds for any
-    subset A, closed or not. So row i is the AND of ``car.near[x]`` over
-    the points x of element i. tau_s additionally requires B to be a
-    subset of A: the union of the compacts disjoint from A is the
-    complement of A, so the tightest miss constraint around A is exactly
-    that complement, and the row is ANDed with ``car.subsets[i]``.
-
-    When every element is closed (``car.closed``), ``near`` is ``holding``,
-    so the tau_w row of A is ``car.supersets[i]``, its columns are
-    ``car.subsets`` and the tau_s row is ``supersets[i] & subsets[i]``,
-    the elements equal to A: tau_w is inclusion and tau_s is discrete.
-
-    Every table built here is reflexive and transitive, so ``open_rows``
-    is recorded as the full mask instead of scanned. B lies in the tau_w
-    row of A exactly when A is inside cl(B), as x is in cl(B) iff B meets
-    min_nbhd(x). A is inside cl(A), and A inside cl(B) and B inside cl(C)
-    give cl(B) inside cl(C), so A is inside cl(C). The tau_s table meets
-    this preorder with inclusion, another preorder, and the meet of two
-    preorders is one.
+    A exactly when it contains some such min_nbhd(x). A closed B meets
+    min_nbhd(x) only when it holds x (a point y of B in min_nbhd(x) has x
+    in cl{y}, inside B), so the row of A is the elements containing it,
+    ``car.supersets[i]``, and its columns are ``car.subsets``: tau_w is
+    inclusion. tau_s additionally requires B to be a subset of A: the union
+    of the compacts disjoint from A is the complement of A, so the
+    tightest miss constraint around A is exactly that complement. Its row
+    is ``supersets[i] & subsets[i]``, the elements equal to A: tau_s is
+    discrete. Both are preorders, so every row is open and ``open_rows``
+    is recorded as the full mask instead of scanned.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected 'w' or 's'")
-    full_k = (1 << len(car)) - 1
-    if car.closed:
-        sup, sub = car.supersets, car.subsets
-        rows = sup if flavor == "w" else tuple(a & b for a, b in zip(sup, sub))
-        top = HyperTopology(car, flavor, rows)
-        top.__dict__["cols"] = sub if flavor == "w" else rows
-    else:
-        rows = [meet_of(car.near, a, full_k) for a in car.elements]
-        if flavor == "s":
-            rows = [row & sub for row, sub in zip(rows, car.subsets)]
-        top = HyperTopology(car, flavor, tuple(rows))
-    top.__dict__["open_rows"] = full_k
+    if not car.closed:
+        raise ValueError(f"carrier {car.kind} holds a set that is not closed; its hyperspace tables are not built")
+    sup, sub = car.supersets, car.subsets
+    rows = sup if flavor == "w" else tuple(a & b for a, b in zip(sup, sub))
+    top = HyperTopology(car, flavor, rows)
+    top.__dict__.update(cols=sub if flavor == "w" else rows, open_rows=(1 << len(car)) - 1)
     return top
 
 

@@ -81,19 +81,10 @@ class HyperCarrier:
         return union_of(self.holding, points)
 
     @lazy
-    def near(self) -> tuple[int, ...]:
-        """``near[x]``: mask of the carrier indices whose element meets
-        min_nbhd(x); ``holding`` itself once ``closed`` is recorded."""
-        if self.__dict__.get("closed"):
-            return self.holding
-        return tuple(self.meeting(row) for row in self.space.rows)
-
-    @lazy
     def closed(self) -> bool:
-        """Whether every element is closed: a closed set meets min_nbhd(x)
-        exactly when it holds x, so this is ``near == holding``. ``carriers``
-        records it on every honest carrier."""
-        return self.near == self.holding
+        """Whether every element is closed, that is meets min_nbhd(x) only
+        when it holds x, at every point x; ``carriers`` records it."""
+        return all(self.meeting(row) == held for row, held in zip(self.space.rows, self.holding))
 
     @lazy
     def subsets(self) -> tuple[int, ...]:
@@ -171,8 +162,8 @@ def carriers(space: FinTopSpace) -> dict[str, HyperCarrier]:
     tables from F, L from F when every closed set is a limit set, and
     Lprime from Fprime then, else from L (``HyperCarrier.base``); the
     tables are built on first use. Every element is the complement of an
-    open, so each carrier records ``closed`` (its ``near`` is ``holding``),
-    and ML, an antichain, the identity as its ``subsets`` and ``supersets``.
+    open, so each carrier records ``closed``, and ML, an antichain, the
+    identity as its ``subsets`` and ``supersets``.
     """
     closed = closed_sets(space)
     limits = tuple(c for c in closed if meet_of(space.rows, c, space.full))

@@ -28,6 +28,7 @@ from .finspace import (
     family_repr,
     is_connected,
     mask_of,
+    meet_of,
     preorder_prefixes,
     separated_points,
     set_repr,
@@ -300,14 +301,14 @@ def check_local_compactness(env):
     witnessed = 0
     for kind in ("F", "Fprime", "L", "Lprime"):
         t = env.topology(kind, "w")
-        near = t.carrier.near
+        holding = t.carrier.holding
         for a in t.carrier.elements:
             # the basic neighborhood hit(min_nbhd(x) : x in a): it holds a and
             # lies in hit(u) for each open u meeting a, as min_nbhd(x) <= u
-            # for x in a & u
+            # for x in a & u, and a closed set meets min_nbhd(x) iff it holds x
             inner = (1 << len(t)) - 1
             for x in bits(a):
-                inner &= near[x]
+                inner &= holding[x]
             bad = inner & ~t.open_rows
             if bad:
                 row = t.rows[(bad & -bad).bit_length() - 1]
@@ -685,19 +686,38 @@ def _cyclic_topology(car: HyperCarrier, flavor) -> HyperTopology | None:
     return HyperTopology(car, flavor, rows)
 
 
+def _non_closed_tables(car: HyperCarrier) -> dict[tuple[str, str], HyperTopology]:
+    """Both tables of a carrier holding a set that is not closed, which
+    ``build_topology`` refuses. B is in A's tau_w row iff B meets
+    min_nbhd(x) for each x in A, closed or not: the AND of ``near[x]``, the
+    elements meeting min_nbhd(x). tau_s ANDs ``car.subsets`` too. B is in
+    A's tau_w row iff A lies inside cl(B), a preorder, and tau_s meets it
+    with inclusion, so every row is open and ``open_rows`` is full."""
+    near = tuple(car.meeting(row) for row in car.space.rows)
+    full_k = (1 << len(car)) - 1
+    w = tuple(meet_of(near, a, full_k) for a in car.elements)
+    tables = {}
+    for flavor, rows in (("w", w), ("s", tuple(row & sub for row, sub in zip(w, car.subsets)))):
+        t = tables[car.kind, flavor] = HyperTopology(car, flavor, rows)
+        t.__dict__["open_rows"] = full_k
+    return tables
+
+
 def corrupted_environments(space: FinTopSpace):
     """Yield (description, env) pairs with deliberately broken carriers or
     neighborhood tables, for expect-fail exploration.
 
     The space's five honest carriers and ten honest tables are built once
     and shared by every environment: a corrupted carrier drops its two
-    tables, which the environment rebuilds on it, and a corrupted table
-    replaces that table only."""
+    tables, which the environment rebuilds on it (``_non_closed_tables``
+    here when it is not closed); a corrupted table replaces that one only."""
     carriers = build_carriers(space)
     tables = {(kind, flavor): build_topology(car, flavor) for kind, car in carriers.items() for flavor in FLAVORS}
 
     def with_carrier(car):
         others = {key: t for key, t in tables.items() if key[0] != car.kind}
+        if not car.closed:
+            others.update(_non_closed_tables(car))
         return CheckEnv(space, carriers={**carriers, car.kind: car}, topologies=others)
 
     def with_table(t):

@@ -3,10 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from limhyper import carriers, enumerate_topologies, parse_space, validate_topology
+from limhyper import build_topology, carriers, enumerate_topologies, parse_space, validate_topology
 from limhyper.finspace import bits
 from limhyper.limitsets import CARRIER_KINDS
-from limhyper.theorems import corrupted_environments
+from limhyper.theorems import _non_closed_tables, corrupted_environments
 
 
 @pytest.fixture
@@ -67,6 +67,16 @@ def loop_transpose(rows, width):
         for j in bits(row):
             cols[j] |= 1 << i
     return tuple(cols)
+
+
+def hyper_table(car, flavor):
+    """A carrier's table of one flavor as mining's environments hold it:
+    ``build_topology``'s on a carrier of closed sets, every honest one
+    included, and ``theorems._non_closed_tables``' on a carrier holding a
+    set that is not closed, which ``build_topology`` refuses."""
+    if car.closed:
+        return build_topology(car, flavor)
+    return _non_closed_tables(car)[car.kind, flavor]
 
 
 @pytest.fixture(scope="session")

@@ -466,7 +466,7 @@ def test_prefix_subtrees_concatenate_to_the_enumeration():
 
 def test_enumerate_budget():
     with pytest.raises(BudgetExceeded):
-        list(enumerate_topologies(6))
+        list(enumerate_topologies(7))
 
 
 def test_digest_is_stable(sierpinski):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import bench_doc_spaces, loop_transpose, spaces_upto
+from conftest import bench_doc_spaces, hyper_table, loop_transpose, spaces_upto
 from limhyper import (
     EvPerSeq,
     HyperCarrier,
@@ -47,7 +47,7 @@ from limhyper.oracle import (
     seq_clusters,
     term,
 )
-from limhyper.theorems import FAIL, CheckEnv, _cyclic_topology, corrupted_environments, run_check
+from limhyper.theorems import FAIL, CheckEnv, _cyclic_topology, _non_closed_tables, corrupted_environments, run_check
 
 
 # ------------------------------------------------------------ basic opens
@@ -106,7 +106,8 @@ def test_build_topology_and_inclusion_relation_match_reference_bodies(carrier_co
     # inclusion relation (its closures, the subsets, are its transpose,
     # which test_cols_and_holding_match_the_transpose_loop checks) and
     # tau_s is equality; a carrier with a non-closed element is told apart
-    # by near != holding and keeps the general closed form
+    # by ``closed``, refused by build_topology and tabled by mining
+    # (test_non_closed_tables_match_oracle_on_corrupted_carriers)
     spaces = [*spaces_upto(5), *bench_doc_spaces()]
     closed = {space: set(closed_sets(space)) for space in spaces}
     compared = from_inclusion = 0
@@ -115,7 +116,7 @@ def test_build_topology_and_inclusion_relation_match_reference_bodies(carrier_co
         sup = inclusion_relation(car)
         assert car.supersets == sup, car
         if closed[car.space].issuperset(elems):
-            assert car.near == car.holding
+            assert car.closed
             equal = {}
             for j, b in enumerate(elems):
                 equal[b] = equal.get(b, 0) | 1 << j
@@ -125,7 +126,7 @@ def test_build_topology_and_inclusion_relation_match_reference_bodies(carrier_co
             assert (ts.rows, ts.cols) == (equal, equal), car
             from_inclusion += 1
         else:
-            assert car.near != car.holding
+            assert not car.closed
         if car.space.n > 5:
             flavors = FLAVORS
         elif car.space.n == 5 and car.kind == "F":
@@ -143,19 +144,41 @@ def test_build_topology_and_inclusion_relation_match_reference_bodies(carrier_co
 
 def test_build_topology_records_the_open_rows_a_scan_finds(carrier_corpus):
     # every table build_topology returns is reflexive and transitive, on
-    # honest and corrupted carriers alike, non-closed elements included, so
-    # the full mask it records is what scanning a fresh copy finds
+    # honest and corrupted closed carriers alike, and so is every table
+    # mining builds on a carrier with a non-closed element, so the full
+    # mask each records is what scanning a fresh copy finds
+    non_closed = 0
     for car in carrier_corpus:
+        non_closed += not car.closed
         for flavor in FLAVORS:
-            t = build_topology(car, flavor)
+            t = hyper_table(car, flavor)
             assert t.__dict__["open_rows"] == (1 << len(car)) - 1
             assert t.open_rows == HyperTopology(car, flavor, t.rows).open_rows, (car, flavor)
+    assert non_closed > 700
+
+
+def test_build_topology_refuses_a_carrier_that_is_not_closed(carrier_corpus, sierpinski):
+    # tau_w and tau_s are built on closed sets: every corpus carrier that
+    # holds a non-closed set, which only mining makes, is refused in both
+    # flavors, and the message names the carrier
+    refused = 0
+    for car in carrier_corpus:
+        if not car.closed:
+            for flavor in FLAVORS:
+                with pytest.raises(ValueError, match=f"carrier {car.kind} holds a set that is not closed"):
+                    build_topology(car, flavor)
+                refused += 1
+    assert refused > 1500
+    # {a} is open and not closed in the Sierpinski space
+    with pytest.raises(ValueError, match="carrier F holds a set that is not closed"):
+        build_topology(HyperCarrier(sierpinski, "F", (0b00, 0b01, 0b10, 0b11)), "w")
 
 
 def test_cols_and_holding_match_the_transpose_loop(carrier_corpus):
-    # every corpus carrier and both its tables, and every table of every
-    # corrupted environment with n <= 4, the cyclic ones included
-    tables = [build_topology(car, flavor) for car in carrier_corpus for flavor in FLAVORS]
+    # every corpus carrier and both its tables (mining's on a carrier with
+    # a non-closed element), and every table of every corrupted environment
+    # with n <= 4, the cyclic ones included
+    tables = [hyper_table(car, flavor) for car in carrier_corpus for flavor in FLAVORS]
     for space in spaces_upto(4):
         for _, env in corrupted_environments(space):
             tables += [env.topology(kind, flavor) for kind in CARRIER_KINDS for flavor in FLAVORS]
@@ -166,20 +189,37 @@ def test_cols_and_holding_match_the_transpose_loop(carrier_corpus):
 
 
 def test_build_topology_matches_oracle_on_corrupted_carriers(carrier_corpus):
-    # the corpus carriers mining injects non-closed, non-limit and
-    # non-maximal elements into, or drops maximal ones from, on every space
-    # with n <= 4: the closed form holds for any family of subsets, not
+    # the corpus carriers mining injects non-limit and non-maximal closed
+    # elements into, or drops maximal ones from, on every space with
+    # n <= 4: the closed form holds for any family of closed sets, not
     # only for honest carriers
     honest = {space: carriers(space) for space in spaces_upto(4)}
     built = 0
     for car in carrier_corpus:
-        if car.space.n > 4 or car.elements == honest[car.space][car.kind].elements:
+        if car.space.n > 4 or not car.closed or car.elements == honest[car.space][car.kind].elements:
             continue
         for flavor in FLAVORS:
             rows = build_topology(car, flavor).rows
             assert rows == tuple(min_nbhd_oracle(car, flavor, a) for a in car.elements), (car, flavor)
             built += 1
-    assert built > 1000
+    assert built > 2400
+
+
+def test_non_closed_tables_match_oracle_on_corrupted_carriers(carrier_corpus):
+    # the corpus carriers mining injects a non-closed set into, F and L on
+    # every space with n <= 4 that has one: mining's general form holds
+    # for any family of subsets
+    built = 0
+    for car in carrier_corpus:
+        if car.closed:
+            continue
+        tables = _non_closed_tables(car)
+        assert set(tables) == {(car.kind, flavor) for flavor in FLAVORS}
+        for flavor in FLAVORS:
+            rows = tables[car.kind, flavor].rows
+            assert rows == tuple(min_nbhd_oracle(car, flavor, a) for a in car.elements), (car, flavor)
+            built += 1
+    assert built > 1500
 
 
 def test_min_nbhd_oracle_examples(sierpinski):

@@ -163,16 +163,21 @@ def test_carrier_tables_match_definitions(carrier_corpus):
     # honest carriers with n <= 5 and of the documents, corrupted ones
     # with n <= 4; each table against its definition, pair by pair
     # (``supersets`` is compared with ``oracle.inclusion_relation`` in
-    # tests/test_hyperspace.py)
+    # tests/test_hyperspace.py). The elements meeting min_nbhd(x), which
+    # ``closed`` and mining's non-closed tables read through ``meeting``,
+    # are those holding x on a carrier of closed sets
     for car in carrier_corpus:
         elems = car.elements
-        assert car.near == tuple(mask_of(i for i, m in enumerate(elems) if m & row) for row in car.space.rows)
+        near = tuple(mask_of(i for i, m in enumerate(elems) if m & row) for row in car.space.rows)
+        assert tuple(car.meeting(row) for row in car.space.rows) == near, car
+        if car.closed:
+            assert car.holding == near, car
         assert car.subsets == tuple(mask_of(j for j, b in enumerate(elems) if not b & ~a) for a in elems)
 
 
 def test_closed_flag_matches_its_definition(carrier_corpus):
     # every element equal to its closure; ``carriers`` records the flag on
-    # its carriers, a corrupted one computes it from near and holding
+    # its carriers, a corrupted one computes it from meeting and holding
     for car in carrier_corpus:
         assert car.closed == all(closure(car.space, m) == m for m in car.elements), car
 

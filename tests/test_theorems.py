@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import bench_doc_spaces, spaces_upto
+from conftest import bench_doc_spaces, hyper_table, spaces_upto
 from limhyper import (
     BudgetExceeded,
     NotOpen,
@@ -24,7 +24,8 @@ from limhyper import (
     validate_topology,
     verify_all,
 )
-from limhyper import theorems
+from limhyper import finspace, theorems
+from limhyper.cli import run as run_cli
 from limhyper.finspace import canonical_key, closed_sets, digest, mask_of, preorder_prefixes, union_of
 from limhyper.hyperspace import FLAVORS, HyperTopology, build_topology, is_dense
 from limhyper.limitsets import CARRIER_KINDS, HyperCarrier
@@ -38,6 +39,7 @@ from limhyper.theorems import (
     TRIVIALLY_TRUE,
     CheckEnv,
     CheckResult,
+    _non_closed_tables,
     _not_a_topology_at,
     check_conv_props,
     corrupted_environments,
@@ -279,8 +281,24 @@ def test_sweep_guards():
     with pytest.raises(BudgetExceeded):
         sweep(5)
     # above the enumeration cap even a long run refuses before any work
-    with pytest.raises(BudgetExceeded, match="capped at 5 points"):
-        sweep(6, long_run=True)
+    with pytest.raises(BudgetExceeded, match="capped at 6 points"):
+        sweep(7, long_run=True)
+
+
+def test_seven_point_sweep_is_refused_before_enumerating(monkeypatch, capsys):
+    # six points sweep under the long-run flag; seven are refused before
+    # the first preorder row is searched, in the library and the CLI, and
+    # the message says how many spaces a seven-point sweep would verify
+    def enumerated(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(finspace, "_preorder_rows", enumerated)
+    with pytest.raises(BudgetExceeded, match=r"capped at 6 points, got 7; .*9535241 labeled topologies \(A000798\)"):
+        sweep(7, long_run=True)
+    assert run_cli(["sweep", "7", "--long"]) == 2
+    assert "9535241" in capsys.readouterr().err
+    with pytest.raises(BudgetExceeded, match="long-run flag"):
+        sweep(6)
 
 
 # ------------------------------------------------------- expect-fail mining
@@ -359,7 +377,7 @@ def test_shared_honest_structures_stay_in_their_environments():
                         continue
                     t = env.topology(kind, flavor)
                     assert t.carrier == env.carrier(kind) and t.flavor == flavor
-                    assert t.rows == build_topology(env.carrier(kind), flavor).rows, (description, kind, flavor)
+                    assert t.rows == hyper_table(env.carrier(kind), flavor).rows, (description, kind, flavor)
                     if kind != replaced:
                         assert shared.setdefault((kind, flavor), t) is t, (description, kind, flavor)
             envs.append(env)
@@ -572,6 +590,54 @@ def test_mining_reaches_the_listed_fail_sites():
     assert set(sites) == MINED_FAIL_SITES | UNMINED_FAIL_SITES and len(sites) == 25
     seen = lines_run(theorems.__file__, lambda: [mine_check_failures(space) for space in spaces_upto(3, start=1)])
     assert {key for key, lines in sites.items() if lines & seen} == MINED_FAIL_SITES
+
+
+# one environment per unmined FAIL site, the first hits of exhaustive
+# searches over the spaces with n <= 2 (ROADMAP item 12): (check, site,
+# points, carrier put in place of the honest one as (kind, elements), table
+# put in place of the honest one as (kind, flavor, rows))
+UNMINED_SITE_ENVIRONMENTS = [
+    # L emptied on the one-point space: ML's {a} lies outside it
+    ("check_cont_iff_maximal", "ml_member_outside_L", 1, ("L", ()), None),
+    ("check_separated_iff_maximal", "ml_member_outside_L", 1, ("L", ()), None),
+    ("check_gdelta_ML", "ml_member_outside_L", 1, ("L", ()), None),
+    # all-zero, so not reflexive, tables on the one-point space
+    ("check_cont_iff_maximal", "element, tau_w_nbhd, tau_s_nbhd", 1, None, ("ML", "w", (0,))),
+    ("check_eta_closure_and_density", "not_closed=L in (F,tau_s)", 1, None, ("F", "s", (0, 0))),
+    ("check_local_compactness", "carrier, element", 1, None, ("F", "w", (0, 0))),
+    ("check_product_structure", "not_a_topology_at", 1, None, ("L", "s", (0, 0))),
+    # on the discrete two-point space
+    ("check_separated_points_corollary", "not_dense_in_ML", 2, ("ML", (0b01, 0b10, 0b11)), None),
+    ("check_eta_closure_and_density", "not_closed=L in (F,tau_w)", 2, None, ("F", "w", (2, 2, 2, 9))),
+    ("check_eta_closure_and_density", "not_dense=Fprime in (F,tau_w)", 2, None, ("F", "w", (2, 2, 2, 0))),
+]
+
+
+def test_each_unmined_fail_site_fires_on_its_environment():
+    # every site mining does not reach still fails its check, with that
+    # site's witness keys, and runs that site's lines
+    sites = fail_sites()
+    assert {(cid, site) for cid, site, *_ in UNMINED_SITE_ENVIRONMENTS} == UNMINED_FAIL_SITES
+    for cid, site, n, replaced_carrier, replaced_table in UNMINED_SITE_ENVIRONMENTS:
+        space = validate_topology(n, range(1 << n))  # discrete
+        cars = carriers(space)
+        tables = {}
+        if replaced_carrier is not None:
+            kind, elements = replaced_carrier
+            cars = {**cars, kind: HyperCarrier(space, kind, elements)}
+        if replaced_table is not None:
+            kind, flavor, rows = replaced_table
+            tables[kind, flavor] = HyperTopology(cars[kind], flavor, rows)
+        env = CheckEnv(space, carriers=cars, topologies=tables)
+        got = []
+        seen = lines_run(theorems.__file__, lambda: got.append(run_check(cid, space, env)))
+        (result,) = got
+        keys = ", ".join(key for key, _ in result.witness)
+        if "=" in site:
+            ((key, value),) = result.witness
+            keys = f"{key}={value}"
+        assert (result.status, keys) == (FAIL, site), (cid, site, result)
+        assert sites[cid, site] & seen, (cid, site)
 
 
 def test_fail_sites_refuse_a_witness_key_that_is_not_a_literal():
@@ -812,17 +878,39 @@ def test_conv_props_on_an_empty_carrier(sierpinski):
     assert "0 cycles, 0 sequences" in got.notes
 
 
-def test_checks_never_build_near_on_an_honest_carrier():
-    # every honest carrier records ``closed``, so its ``near`` is its
-    # ``holding``, the same tuple, whether a check read it or not: no
-    # check ORs ``holding`` over minimal neighborhoods on such a carrier
+def test_checks_never_build_near_on_an_honest_carrier(monkeypatch):
+    # every honest carrier records ``closed``, so no check and no
+    # ``build_topology`` call ORs ``holding`` over minimal neighborhoods on
+    # such a carrier to decide it; only mining's corrupted carriers are
+    # decided, and on those holding a non-closed set every check reads the
+    # tables ``_non_closed_tables`` builds
+    decided = []
+    closed = HyperCarrier.__dict__["closed"]
+    compute = closed.func
+
+    def recording(car):
+        decided.append(car)
+        return compute(car)
+
+    monkeypatch.setattr(closed, "func", recording)
+    total = 0
     for space in spaces_upto(4, start=1):
+        decided.clear()
+        honest = carriers(space)
         env = CheckEnv(space)
         for cid in CHECKS:
             run_check(cid, space, env)
-        for kind in CARRIER_KINDS:
-            car = env.carrier(kind)
-            assert car.near is car.holding, (space, kind)
+        for _, env in corrupted_environments(space):
+            for cid in CHECKS:
+                run_check(cid, space, env)
+            for kind in CARRIER_KINDS:
+                car = env.carrier(kind)
+                if not car.closed:
+                    for flavor in FLAVORS:
+                        assert env.topology(kind, flavor).rows == _non_closed_tables(car)[kind, flavor].rows
+        assert all(car != honest[car.kind] for car in decided), space
+        total += len(decided)
+    assert total > 1900, total
 
 
 def _first_non_closed_by_scan(space):
