@@ -59,34 +59,4 @@ from .theorems import (
     verify_all,
 )
 
-# The literal definitions are references for the tests; no command runs
-# one, so the oracle module is imported on the first read of one of them.
-_ORACLE_EXPORTS = (
-    "S_of",
-    "basic_open_membership",
-    "conv1_conditions",
-    "identity_continuous_at",
-    "inclusion_relation",
-    "is_hausdorff",
-    "is_limit_set_oracle",
-    "is_primitive",
-    "min_nbhd_oracle",
-    "product_is_closed",
-    "product_min_nbhd",
-    "seq_clusters",
-)
-
-
-def __getattr__(name: str):
-    if name in _ORACLE_EXPORTS:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_ORACLE_EXPORTS})
-
-
 __version__ = "0.1.0"

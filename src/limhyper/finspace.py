@@ -154,32 +154,45 @@ def family_repr(masks: Iterable[int], labels: tuple[str, ...] | None = None) -> 
     return "[" + " ".join(set_repr(m, labels) for m in sorted(masks, key=canonical_key)) + "]"
 
 
-def _immutable(self, name, *value):
-    """``__setattr__`` and ``__delattr__`` of the value classes, whose
-    ``__init__`` fills ``__dict__`` directly and whose ``lazy`` values
-    are stored there too."""
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+class _Value:
+    """Base of the value classes. Equality, hashing and ``repr`` read the
+    fields a class names in ``_fields``, which its ``__init__`` stores in
+    ``__dict__`` directly; ``lazy`` values are stored there too, and
+    assignment and deletion raise ``AttributeError``."""
+
+    _fields: tuple[str, ...]
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, f) for f in self._fields))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
-class FinTopSpace:
+class FinTopSpace(_Value):
     """A validated finite topology: point count plus its open-set family.
 
     ``opens`` is deduplicated and canonically ordered, so equal spaces
     compare equal and serialize identically.
     """
 
+    _fields = ("n", "opens")
+
     def __init__(self, n: int, opens: tuple[int, ...]):
         self.__dict__.update(n=n, opens=opens)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.opens == other.opens
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.opens))
 
     @property
     def full(self) -> int:

@@ -16,13 +16,13 @@ of ``HyperTopology.rows``.
 
 from __future__ import annotations
 
-from .finspace import _immutable, bits, component, is_separated, lazy, mask_of, transpose, union_of
+from .finspace import _Value, bits, component, is_separated, lazy, mask_of, transpose, union_of
 from .limitsets import HyperCarrier
 
 FLAVORS = ("w", "s")
 
 
-class HyperTopology:
+class HyperTopology(_Value):
     """Minimal-neighborhood table of tau_w or tau_s restricted to a carrier.
 
     ``rows[i]`` is the bitmask of the carrier indices inside the least
@@ -32,21 +32,10 @@ class HyperTopology:
     element j.
     """
 
+    _fields = ("carrier", "flavor", "rows")
+
     def __init__(self, carrier: HyperCarrier, flavor: str, rows: tuple[int, ...]):
         self.__dict__.update(carrier=carrier, flavor=flavor, rows=rows)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.carrier == other.carrier and self.flavor == other.flavor and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.carrier, self.flavor, self.rows))
-
-    def __repr__(self) -> str:
-        return f"HyperTopology(carrier={self.carrier!r}, flavor={self.flavor!r}, rows={self.rows!r})"
 
     def __len__(self) -> int:
         return len(self.carrier.elements)
@@ -73,29 +62,18 @@ class HyperTopology:
         return tuple(frozenset(bits(row)) for row in self.rows)
 
 
-class EvPerSeq:
+class EvPerSeq(_Value):
     """An eventually periodic sequence: a finite preperiod and a nonempty
     cycle repeated forever. Entries are carrier indices for topology-level
     operations and closed-set masks for the point-selection conditions.
     """
 
+    _fields = ("preperiod", "cycle")
+
     def __init__(self, preperiod: tuple[int, ...], cycle: tuple[int, ...]):
         if not cycle:
             raise ValueError("cycle must be nonempty")
         self.__dict__.update(preperiod=preperiod, cycle=cycle)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.preperiod == other.preperiod and self.cycle == other.cycle
-
-    def __hash__(self) -> int:
-        return hash((self.preperiod, self.cycle))
-
-    def __repr__(self) -> str:
-        return f"EvPerSeq(preperiod={self.preperiod!r}, cycle={self.cycle!r})"
 
 
 def build_topology(car: HyperCarrier, flavor: str) -> HyperTopology:

@@ -12,12 +12,12 @@ subfamilies.
 from __future__ import annotations
 
 from .errors import GroundMismatch, NotInCarrier
-from .finspace import FinTopSpace, _check_subset, _immutable, closed_sets, lazy, meet_of, set_repr, transpose, union_of
+from .finspace import FinTopSpace, _Value, _check_subset, closed_sets, lazy, meet_of, set_repr, transpose, union_of
 
 CARRIER_KINDS = ("F", "Fprime", "L", "Lprime", "ML")
 
 
-class HyperCarrier:
+class HyperCarrier(_Value):
     """An indexed family of subsets of one space, e.g. F(X) or ML(X).
 
     Elements are canonically ordered (cardinality, then mask), so carrier
@@ -29,9 +29,11 @@ class HyperCarrier:
     empty set holds no point and lies inside every set, so dropping it
     drops base's first row and bit 0 of every row: each row shifts right
     one bit, and ``holding``, one row per point, keeps all its rows.
-    Equality, hashing and ``repr`` read the space, kind and elements
-    only, not ``base``.
+    ``base`` is not in ``_fields``, so equality, hashing and ``repr`` read
+    the space, kind and elements only.
     """
+
+    _fields = ("space", "kind", "elements")
 
     def __init__(self, space: FinTopSpace, kind: str, elements: tuple[int, ...], base: HyperCarrier | None = None):
         if base is not None:
@@ -39,19 +41,6 @@ class HyperCarrier:
             if base.space != space or not (elems == elements or elems[:1] == (0,) and elems[1:] == elements):
                 raise ValueError(f"carrier {base.kind} holds neither the elements of {kind} nor the empty set before them")
         self.__dict__.update(space=space, kind=kind, elements=elements, base=base)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.space == other.space and self.kind == other.kind and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.kind, self.elements))
-
-    def __repr__(self) -> str:
-        return f"HyperCarrier(space={self.space!r}, kind={self.kind!r}, elements={self.elements!r})"
 
     def _from_base(self, rows: tuple[int, ...]) -> tuple[int, ...]:
         # base's per-element table: the same tuple, or without its first row

@@ -631,7 +631,7 @@ def sweep(n: int, long_run: bool = False, jobs: int | None = None) -> SweepResul
     if n < 1:
         raise ValueError("sweep needs at least one point")
     if n >= 5 and not long_run:
-        raise BudgetExceeded("sweep over five points requires the long-run flag")
+        raise BudgetExceeded(f"sweep over {n} points requires the long-run flag")
     source = "jobs"
     if jobs is None:
         source, value = "LH_JOBS", os.environ.get("LH_JOBS", "1")

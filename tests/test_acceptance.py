@@ -13,8 +13,6 @@ from limhyper import (
     carrier,
     enumerate_topologies,
     is_limit_set,
-    is_limit_set_oracle,
-    min_nbhd_oracle,
     mine_check_failures,
     run_check,
     sweep,
@@ -23,7 +21,7 @@ from limhyper import (
 from limhyper.cli import run as cli_run
 from limhyper.finspace import bits, full_mask
 from limhyper.limitsets import CARRIER_KINDS
-from limhyper.oracle import per_cycle_conv_props
+from limhyper.oracle import is_limit_set_oracle, min_nbhd_oracle, per_cycle_conv_props
 from limhyper.theorems import CHECKS, FAIL, CheckEnv
 
 SIERPINSKI_DOC = '{"points": ["a", "b"], "opens": [[], ["a"], ["a", "b"]]}'

@@ -1,3 +1,4 @@
+import inspect
 import pickle
 import random
 
@@ -30,6 +31,7 @@ from limhyper import (
 )
 from limhyper.finspace import (
     FinTopSpace,
+    _Value,
     _preorder_rows,
     _space_from_rows,
     bits,
@@ -599,3 +601,20 @@ def test_value_records_compare_by_their_fields_and_stay_immutable():
         "elements=(0, 2, 3)), flavor='w', rows=(7, 6, 4))"
     )
     assert repr(EvPerSeq((0,), (1, 2))) == "EvPerSeq(preperiod=(0,), cycle=(1, 2))"
+
+
+def test_value_fields_are_the_init_parameters():
+    # equality, hashing and repr read _fields only, so a parameter that
+    # __init__ stores and _fields leaves out, or the other way round, fails
+    # here; a carrier's base only says where its tables come from
+    classes = (FinTopSpace, HyperCarrier, HyperTopology, EvPerSeq)
+    assert set(_Value.__subclasses__()) == set(classes)
+    for cls in classes:
+        params = list(inspect.signature(cls.__init__).parameters)[1:]
+        if cls is HyperCarrier:
+            params.remove("base")
+        assert list(cls._fields) == params, cls
+        # the base's methods are the only ones; FinTopSpace keeps its own
+        # repr, whose opens are written as sets
+        assert not {"__eq__", "__hash__", "__setattr__", "__delattr__"} & set(vars(cls)), cls
+        assert ("__repr__" in vars(cls)) == (cls is FinTopSpace), cls

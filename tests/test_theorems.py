@@ -301,6 +301,16 @@ def test_seven_point_sweep_is_refused_before_enumerating(monkeypatch, capsys):
         sweep(6)
 
 
+def test_long_run_refusal_names_the_requested_point_count(capsys):
+    # five and six points both need the flag; each refusal names its own
+    # count, in the library and the CLI
+    for n in (5, 6):
+        with pytest.raises(BudgetExceeded, match=rf"^sweep over {n} points requires the long-run flag$"):
+            sweep(n)
+    assert run_cli(["sweep", "6"]) == 2
+    assert capsys.readouterr().err == "error: sweep over 6 points requires the long-run flag\n"
+
+
 # ------------------------------------------------------- expect-fail mining
 
 def test_mining_detects_failures_per_check(sierpinski, three_point):
