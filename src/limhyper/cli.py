@@ -3,7 +3,7 @@
 Exit codes: 0 for success or all checks passing, 1 for a detected check
 failure (witness printed), 2 for usage, parse or read errors. Results go to
 stdout, diagnostics to stderr. ``--jobs`` only changes timing, never
-output bytes; its default comes from the LH_JOBS environment variable.
+output bytes.
 """
 
 from __future__ import annotations
@@ -113,10 +113,7 @@ def _parse_seq(spec: str, labels, closed_elems) -> EvPerSeq:
                 ) from None
         return tuple(terms)
 
-    pre, cyc = map(parse_terms, match.groups())
-    if not cyc:
-        raise ParseError("cycle part must be nonempty")
-    return EvPerSeq(pre, cyc)
+    return EvPerSeq(*map(parse_terms, match.groups()))
 
 
 def _cmd_converge(args) -> int:
@@ -158,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run every check over all topologies on N points")
     p.add_argument("n", type=int)
     p.add_argument("--long", action="store_true", help="allow the 5- and 6-point sweeps")
-    p.add_argument("--jobs", type=int, default=None, help="worker count (default: LH_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker count (default 1)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("converge", help="decide sequence convergence in a hyperspace")

@@ -17,6 +17,22 @@ MAX_POINTS = 16
 MAX_ENUM_POINTS = 6
 
 
+def check_point_count(n: int) -> None:
+    """Refuse a ground set of fewer than 0 or more than ``MAX_POINTS`` points."""
+    if n < 0 or n > MAX_POINTS:
+        raise GroundMismatch(f"point count {n} outside 0..{MAX_POINTS}")
+
+
+def check_enum_points(n: int) -> None:
+    """Refuse an enumeration over fewer than 0 or more than ``MAX_ENUM_POINTS`` points."""
+    if n < 0:
+        raise GroundMismatch("negative point count")
+    if n > MAX_ENUM_POINTS:
+        raise BudgetExceeded(
+            f"enumeration capped at {MAX_ENUM_POINTS} points, got {n}; 7 points carry 9535241 labeled topologies (A000798)"
+        )
+
+
 class lazy:
     """A value computed on first read and stored in the instance
     ``__dict__``, where later reads find it before this non-data
@@ -229,8 +245,7 @@ def validate_topology(n: int, opens: Iterable[int]) -> FinTopSpace:
     O(n * |opens|); only a family that fails this is searched pair by pair
     for the violation to report.
     """
-    if n < 0 or n > MAX_POINTS:
-        raise GroundMismatch(f"point count {n} outside 0..{MAX_POINTS}")
+    check_point_count(n)
     full = full_mask(n)
     fam = set()
     for m in opens:
@@ -340,8 +355,7 @@ def from_preorder(n: int, relation: Iterable[tuple[int, int]]) -> FinTopSpace:
     as {y : x <= y}, so ``from_preorder`` composed with
     ``specialization_pairs`` is the identity on spaces.
     """
-    if n < 0 or n > MAX_POINTS:
-        raise GroundMismatch(f"point count {n} outside 0..{MAX_POINTS}")
+    check_point_count(n)
     rows = [1 << i for i in range(n)]
     for a, b in relation:
         if not (0 <= a < n and 0 <= b < n):
@@ -400,12 +414,7 @@ def preorder_prefixes(n: int) -> tuple[tuple[int, ...], ...]:
     enumeration order: the roots of the subtrees that a sweep splits the
     enumeration into (126 at n = 5). Enumeration is capped at
     ``MAX_ENUM_POINTS`` points."""
-    if n < 0:
-        raise GroundMismatch("negative point count")
-    if n > MAX_ENUM_POINTS:
-        raise BudgetExceeded(
-            f"enumeration capped at {MAX_ENUM_POINTS} points, got {n}; 7 points carry 9535241 labeled topologies (A000798)"
-        )
+    check_enum_points(n)
     return tuple(_preorder_rows(n, depth=min(n, 2)))
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .errors import DuplicateLabel, GroundMismatch, ParseError
-from .finspace import MAX_POINTS, FinTopSpace, from_preorder, validate_topology
+from .errors import DuplicateLabel, ParseError
+from .finspace import FinTopSpace, check_point_count, from_preorder, validate_topology
 from .theorems import CheckResult, VerificationReport
 
 REPORT_SCHEMA = 1
@@ -62,8 +62,7 @@ def parse_space(text: str) -> LabeledSpace:
         raise ParseError("'points' must be a list of string labels")
     # refused by its length alone, before any label is read or any open
     # mask is built
-    if len(points) > MAX_POINTS:
-        raise GroundMismatch(f"point count {len(points)} outside 0..{MAX_POINTS}")
+    check_point_count(len(points))
     if not all(isinstance(p, str) for p in points):
         raise ParseError("'points' must be a list of string labels")
     for p in points:

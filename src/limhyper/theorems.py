@@ -13,7 +13,6 @@ Sequence-based convergence checks carry the status ``proxy``.
 
 from __future__ import annotations
 
-import os
 import time
 from functools import partial
 from typing import NamedTuple
@@ -23,6 +22,7 @@ from .finspace import (
     FinTopSpace,
     bits,
     canonical_key,
+    check_enum_points,
     closure,
     digest,
     family_repr,
@@ -553,17 +553,11 @@ CHECKS = {
 }
 
 
-def run_check(check_id: str, space: FinTopSpace, env: CheckEnv | None = None) -> CheckResult:
-    """Run one registered check on ``env``, built on ``space`` when not
-    given; inconsistent carrier or neighborhood structures surface as
-    failures instead of exceptions."""
-    fn = CHECKS[check_id]
-    if env is None:
-        env = CheckEnv(space)
-    elif env.space != space:
-        raise ValueError(f"{check_id}: the environment was built on another space")
+def run_check(check_id: str, env: CheckEnv) -> CheckResult:
+    """Run one registered check on ``env``; inconsistent carrier or
+    neighborhood structures surface as failures instead of exceptions."""
     try:
-        return fn(env)
+        return CHECKS[check_id](env)
     except (NotOpen, NotInCarrier) as exc:
         return CheckResult(
             check_id,
@@ -579,7 +573,7 @@ def verify_all(space: FinTopSpace, labels=None) -> VerificationReport:
         raise ValueError("verification needs at least one point")
     env = CheckEnv(space, labels)
     t0 = time.perf_counter()
-    results = [run_check(check_id, space, env) for check_id in CHECKS]
+    results = [run_check(check_id, env) for check_id in CHECKS]
     return VerificationReport(
         digest(space), space.n, env.labels, tuple(results), time.perf_counter() - t0
     )
@@ -618,29 +612,25 @@ def Pool(workers: int):
     return pool(workers)
 
 
-def sweep(n: int, long_run: bool = False, jobs: int | None = None) -> SweepResult:
+def sweep(n: int, long_run: bool = False, jobs: int = 1) -> SweepResult:
     """Run the whole suite over every labeled topology on n points.
 
-    The five-point sweep multiplies 6942 spaces by the full suite and must
-    be requested explicitly through ``long_run``. The enumeration is split
-    into subtrees by the first two rows of the preorder table; each task
-    enumerates and verifies one subtree and returns one aggregate, and the
-    aggregates are merged in enumeration order, so the result does not
-    depend on ``jobs``. ``elapsed_s`` includes the enumeration.
+    The five- and six-point sweeps verify 6942 and 209527 spaces and must
+    be requested explicitly through ``long_run``; a count past the
+    enumeration cap is refused before that flag is read. The enumeration
+    is split into subtrees by the first two rows of the preorder table;
+    each task enumerates and verifies one subtree and returns one
+    aggregate, and the aggregates are merged in enumeration order, so the
+    result does not depend on ``jobs``. ``elapsed_s`` includes the
+    enumeration.
     """
     if n < 1:
         raise ValueError("sweep needs at least one point")
+    check_enum_points(n)
     if n >= 5 and not long_run:
         raise BudgetExceeded(f"sweep over {n} points requires the long-run flag")
-    source = "jobs"
-    if jobs is None:
-        source, value = "LH_JOBS", os.environ.get("LH_JOBS", "1")
-        try:
-            jobs = int(value)
-        except ValueError:
-            raise ValueError(f"LH_JOBS must be an integer, got {value!r}") from None
     if jobs < 1:
-        raise ValueError(f"{source} must be at least 1, got {jobs}")
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     t0 = time.perf_counter()
     prefixes = preorder_prefixes(n)
     task = partial(_sweep_task, n)
@@ -783,7 +773,7 @@ def mine_check_failures(space: FinTopSpace) -> dict[str, MiningHit]:
         if not remaining:
             break
         for cid in remaining:
-            result = run_check(cid, space, env)
+            result = run_check(cid, env)
             if result.status == FAIL:
                 found[cid] = MiningHit(description, env.labels, result)
     return found

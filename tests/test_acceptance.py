@@ -155,7 +155,7 @@ def test_acceptance_5_convergence_propositions():
             k = len(env.carrier("F").elements)
             n_seq = sum(k**p for p in range(3)) * sum(k**c for c in (1, 2, 3))
             assert f"{n_seq} sequences" in want.notes
-            got = run_check("check_conv_props", space, env)
+            got = run_check("check_conv_props", env)
             assert (got.status, got.witness) == (want.status, want.witness), space
             checked_spaces += 1
     elapsed = time.perf_counter() - t0

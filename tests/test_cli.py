@@ -194,18 +194,9 @@ def test_run_builds_the_parser_once(monkeypatch, capsys):
     assert built == [1]
 
 
-def test_sweep_names_a_bad_lh_jobs(monkeypatch, capsys):
-    monkeypatch.setenv("LH_JOBS", "two")
-    assert run(["sweep", "2"]) == 2
-    assert capsys.readouterr().err == "error: LH_JOBS must be an integer, got 'two'\n"
-
-
-def test_sweep_refuses_worker_counts_below_one(monkeypatch, capsys):
+def test_sweep_refuses_worker_counts_below_one(capsys):
     assert run(["sweep", "2", "--jobs", "-4"]) == 2
     assert capsys.readouterr() == ("", "error: jobs must be at least 1, got -4\n")
-    monkeypatch.setenv("LH_JOBS", "-2")
-    assert run(["sweep", "2"]) == 2
-    assert capsys.readouterr() == ("", "error: LH_JOBS must be at least 1, got -2\n")
 
 
 def test_sweep_five_needs_long_flag(capsys):
@@ -253,6 +244,13 @@ def test_converge_rejects_non_closed_target(sierpinski_file, capsys):
     )
     assert rc == 2
     assert "closed" in capsys.readouterr().err
+
+
+def test_converge_refuses_an_empty_cycle(sierpinski_file, capsys):
+    # the sequence type is the one home of this refusal
+    rc = run(["converge", sierpinski_file, "--seq", "pre:[];cyc:[]", "--target", "{}"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: cycle must be nonempty\n")
 
 
 def test_console_entry_point(sierpinski_file):
@@ -384,9 +382,11 @@ def test_parse_seq_accepts_exactly_what_the_grammar_generates():
     language = grammar_parts(5)
 
     def outcome(spec):
+        # an empty cycle is refused by EvPerSeq's ValueError, every other
+        # part by a ParseError; run answers both with exit code 2
         try:
             return cli._parse_seq(spec, labels, elems)
-        except ParseError:
+        except (ParseError, ValueError):
             return None
 
     accepted = 0

@@ -557,7 +557,7 @@ def test_exact_product_check_matches_enumeration():
             tables.setdefault((ts.rows, inclusion_relation(env.carrier("L"))), env)
     verdicts = set()
     for env in tables.values():
-        exact = run_check("check_product_structure", env.space, env).status != FAIL
+        exact = run_check("check_product_structure", env).status != FAIL
         assert exact == brute_product_verdict(env.carrier("L"), env.topology("L", "s"))
         verdicts.add(exact)
     assert len(tables) > 50 and verdicts == {True, False}
@@ -571,7 +571,7 @@ def test_inclusion_witness_is_first_pair_in_closure_only():
     witnessed = 0
     for space in spaces_upto(3, start=1):
         for env in [CheckEnv(space)] + [env for _, env in corrupted_environments(space)]:
-            result = run_check("check_product_structure", space, env)
+            result = run_check("check_product_structure", env)
             if [key for key, _ in result.witness] != ["pair_in_closure_only"]:
                 continue
             lcar = env.carrier("L")

@@ -67,6 +67,24 @@ def test_parse_space_refuses_too_many_points_before_reading_them(monkeypatch):
         reads.clear()
 
 
+def test_point_count_refusals_share_one_message():
+    # parse_space, validate_topology and from_preorder refuse a ground set
+    # past 0..16 through one guard, with one message
+    from limhyper import from_preorder
+
+    labels = json.dumps([f"p{i}" for i in range(17)])
+    refusals = [
+        (17, lambda: parse_space(f'{{"points": {labels}, "opens": [[]]}}')),
+        (17, lambda: validate_topology(17, [0])),
+        (-1, lambda: validate_topology(-1, [0])),
+        (17, lambda: from_preorder(17, [])),
+        (-1, lambda: from_preorder(-1, [])),
+    ]
+    for n, refused in refusals:
+        with pytest.raises(GroundMismatch, match=rf"^point count {n} outside 0\.\.16$"):
+            refused()
+
+
 def test_parse_space_rejects_unrenderable_labels():
     for bad in ("a,b", "a b", "{a}", ""):
         with pytest.raises(ParseError):

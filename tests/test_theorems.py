@@ -85,25 +85,9 @@ def test_verify_all_named_spaces(three_point, discrete2, indiscrete2):
 
 
 def test_connectedness_vacuous_note(discrete2):
-    r = run_check("check_connectedness", discrete2)
+    r = run_check("check_connectedness", CheckEnv(discrete2))
     assert r.status == PASS
     assert "hypothesis not met" in r.notes
-
-
-def test_run_check_refuses_an_environment_of_another_space(monkeypatch, discrete2, sierpinski):
-    # every check reads the space from its environment, so a second space
-    # that disagrees is refused before the check runs or fills any cache;
-    # the corollary used to report a false fail on this pair
-    def ran(env):
-        raise AssertionError("the check ran")
-
-    env = CheckEnv(sierpinski)
-    monkeypatch.setitem(CHECKS, "check_separated_points_corollary", ran)
-    with pytest.raises(ValueError, match="the environment was built on another space"):
-        run_check("check_separated_points_corollary", discrete2, env)
-    assert (env._carriers, env._topologies) == ({}, {})
-    monkeypatch.undo()
-    assert run_check("check_separated_points_corollary", sierpinski, env).status == PASS
 
 
 def test_verify_all_rejects_empty_space():
@@ -146,7 +130,7 @@ def test_trivially_true_only_where_expected():
     # the family of all singletons when there is a point: 1 family on the
     # 0-point space and n + 2 on every other, the documents included
     for space in [*spaces_upto(5), *bench_doc_spaces()]:
-        r = run_check("check_compactness_lemma", space)
+        r = run_check("check_compactness_lemma", CheckEnv(space))
         assert r.status == TRIVIALLY_TRUE
         assert r.notes == f"finite subcover found for {1 + space.n + (space.n > 0)} hit families"
 
@@ -170,18 +154,6 @@ def test_labels_must_be_distinct(sierpinski, three_point):
         CheckEnv(three_point, labels=("x", "y", "y"))
 
 
-def test_lh_jobs_env_is_the_default(monkeypatch):
-    monkeypatch.setenv("LH_JOBS", "2")
-    r = sweep(2)
-    assert (r.space_count, r.failure_count) == (4, 0)
-
-
-def test_lh_jobs_that_is_not_an_integer_is_named(monkeypatch):
-    monkeypatch.setenv("LH_JOBS", "two")
-    with pytest.raises(ValueError, match="LH_JOBS must be an integer, got 'two'"):
-        sweep(2)
-
-
 def test_sweep_refuses_worker_counts_below_one(monkeypatch):
     # they used to run serially; now nothing is enumerated
     def enumerated(n):
@@ -191,9 +163,6 @@ def test_sweep_refuses_worker_counts_below_one(monkeypatch):
     for jobs in (0, -4):
         with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
             sweep(2, jobs=jobs)
-    monkeypatch.setenv("LH_JOBS", "-2")
-    with pytest.raises(ValueError, match="LH_JOBS must be at least 1, got -2"):
-        sweep(2)
 
 
 def test_sweep_jobs_do_not_change_results():
@@ -288,15 +257,19 @@ def test_sweep_guards():
 def test_seven_point_sweep_is_refused_before_enumerating(monkeypatch, capsys):
     # six points sweep under the long-run flag; seven are refused before
     # the first preorder row is searched, in the library and the CLI, and
-    # the message says how many spaces a seven-point sweep would verify
+    # the message says how many spaces a seven-point sweep would verify.
+    # The cap is checked before the long-run flag, which cannot lift it
     def enumerated(*args, **kwargs):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(finspace, "_preorder_rows", enumerated)
-    with pytest.raises(BudgetExceeded, match=r"capped at 6 points, got 7; .*9535241 labeled topologies \(A000798\)"):
-        sweep(7, long_run=True)
-    assert run_cli(["sweep", "7", "--long"]) == 2
-    assert "9535241" in capsys.readouterr().err
+    for long_run in (True, False):
+        with pytest.raises(BudgetExceeded, match=r"capped at 6 points, got 7; .*9535241 labeled topologies \(A000798\)"):
+            sweep(7, long_run=long_run)
+    for argv in (["sweep", "7", "--long"], ["sweep", "7"]):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "enumeration capped at 6 points" in err and "9535241" in err, argv
     with pytest.raises(BudgetExceeded, match="long-run flag"):
         sweep(6)
 
@@ -326,7 +299,7 @@ def test_mining_detects_failures_per_check(sierpinski, three_point):
 def test_corruptions_do_not_fool_honest_env(sierpinski):
     # the corrupted environments really are the reason checks fail
     for cid in CHECKS:
-        assert run_check(cid, sierpinski).status in ALL_OK
+        assert run_check(cid, CheckEnv(sierpinski)).status in ALL_OK
     descriptions = [d for d, _ in corrupted_environments(sierpinski)]
     assert len(descriptions) == len(set(descriptions))
 
@@ -394,7 +367,7 @@ def test_shared_honest_structures_stay_in_their_environments():
         assert len(shared) == 10
         for env in envs:
             for cid in CHECKS:
-                run_check(cid, space, env)
+                run_check(cid, env)
         for (kind, flavor), t in shared.items():
             fresh = build_topology(carrier(space, kind), flavor)
             assert t.carrier == fresh.carrier and t.carrier.holding == fresh.carrier.holding
@@ -640,7 +613,7 @@ def test_each_unmined_fail_site_fires_on_its_environment():
             tables[kind, flavor] = HyperTopology(cars[kind], flavor, rows)
         env = CheckEnv(space, carriers=cars, topologies=tables)
         got = []
-        seen = lines_run(theorems.__file__, lambda: got.append(run_check(cid, space, env)))
+        seen = lines_run(theorems.__file__, lambda: got.append(run_check(cid, env)))
         (result,) = got
         keys = ", ".join(key for key, _ in result.witness)
         if "=" in site:
@@ -668,9 +641,9 @@ def test_sequence_and_product_checks_are_exact():
     # check samples, and every in-budget sequence is counted
     for space in [*enumerate_topologies(4), *bench_doc_spaces()]:
         env = CheckEnv(space)
-        product = run_check("check_product_structure", space, env)
-        conv = run_check("check_conv_props", space, env)
-        baire = run_check("check_baire", space, env)
+        product = run_check("check_product_structure", env)
+        conv = run_check("check_conv_props", env)
+        baire = run_check("check_baire", env)
         assert (product.status, conv.status, baire.status) == (PASS, PROXY, TRIVIALLY_TRUE)
         assert all("sampled" not in r.notes for r in (product, conv, baire))
         k = len(carrier(space, "F").elements)
@@ -732,7 +705,7 @@ def test_exact_baire_matches_dense_open_enumeration():
                 if a is None:
                     assert is_dense(t, dense_open_meet_oracle(t))
                     exact += 1
-            result = run_check("check_baire", space, env)
+            result = run_check("check_baire", env)
             if prechecks == [None] * 3:
                 assert result.status == TRIVIALLY_TRUE
                 passed += 1
@@ -756,7 +729,7 @@ def test_local_compactness_matches_per_open_construction():
             if key in seen:
                 continue
             seen.add(key)
-            got = run_check("check_local_compactness", space, env)
+            got = run_check("check_local_compactness", env)
             try:
                 want = per_open_local_compactness(env)
             except NotOpen as exc:
@@ -795,8 +768,8 @@ def test_compactness_checks_are_decided_by_the_precheck():
             seen.add(key)
             assert all((row >> a) & 1 for t in tables for a, row in enumerate(t.rows))
             prechecks = [_not_a_topology_at(t) is None for t in tables]
-            lemma = run_check("check_compactness_lemma", space, env).status == TRIVIALLY_TRUE
-            local = run_check("check_local_compactness", space, env).status == TRIVIALLY_TRUE
+            lemma = run_check("check_compactness_lemma", env).status == TRIVIALLY_TRUE
+            local = run_check("check_local_compactness", env).status == TRIVIALLY_TRUE
             assert lemma == prechecks[0]
             assert local == all(prechecks)
             outcomes.add((lemma, local))
@@ -882,7 +855,7 @@ def test_conv_props_on_an_empty_carrier(sierpinski):
     # no space has an empty F carrier, but a hand-built one is decided
     # like any other: no term fails, and the note counts nothing
     env = CheckEnv(sierpinski, carriers={**carriers(sierpinski), "F": HyperCarrier(sierpinski, "F", ())})
-    got = run_check("check_conv_props", sierpinski, env)
+    got = run_check("check_conv_props", env)
     assert got == per_cycle_conv_props(env)
     assert (got.status, got.witness) == (PROXY, ())
     assert "0 cycles, 0 sequences" in got.notes
@@ -909,10 +882,10 @@ def test_checks_never_build_near_on_an_honest_carrier(monkeypatch):
         honest = carriers(space)
         env = CheckEnv(space)
         for cid in CHECKS:
-            run_check(cid, space, env)
+            run_check(cid, env)
         for _, env in corrupted_environments(space):
             for cid in CHECKS:
-                run_check(cid, space, env)
+                run_check(cid, env)
             for kind in CARRIER_KINDS:
                 car = env.carrier(kind)
                 if not car.closed:
@@ -982,7 +955,7 @@ def test_closure_singleton_matches_element_scan():
                             ("expected", env.fmt_indices(t.carrier, expected)),
                         )
                     )
-            result = run_check("check_closure_singleton", space, env)
+            result = run_check("check_closure_singleton", env)
             assert (result.status, result.witness) == ((FAIL, differ[0]) if differ else (PASS, ()))
             statuses.append(result.status)
     assert set(statuses) == {PASS, FAIL}
