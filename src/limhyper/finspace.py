@@ -11,16 +11,42 @@ from __future__ import annotations
 from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
 
-from .errors import AxiomViolation, BudgetExceeded, GroundMismatch, InvariantViolation
+from .errors import AxiomViolation, BudgetExceeded, DuplicateLabel, GroundMismatch, InvariantViolation, ParseError
 
 MAX_POINTS = 16
 MAX_ENUM_POINTS = 6
+
+_ALPHABET = "abcdefghijklmnop"
 
 
 def check_point_count(n: int) -> None:
     """Refuse a ground set of fewer than 0 or more than ``MAX_POINTS`` points."""
     if n < 0 or n > MAX_POINTS:
         raise GroundMismatch(f"point count {n} outside 0..{MAX_POINTS}")
+
+
+def default_labels(n: int) -> tuple[str, ...]:
+    return tuple(_ALPHABET[i] for i in range(n))
+
+
+def check_labels(labels: Sequence) -> tuple[str, ...]:
+    """The point labels as a tuple, or the first refusal: more than
+    ``MAX_POINTS`` labels, counted before any is read; a label that is
+    not a nonempty string without braces, commas or whitespace, since
+    ``{a,b}`` must name one point set; a repeat."""
+    check_point_count(len(labels))
+    labels = tuple(labels)
+    if not all(isinstance(p, str) for p in labels):
+        raise ParseError("'points' must be a list of string labels")
+    for p in labels:
+        if not p or any(ch in "{}," or ch.isspace() for ch in p):
+            raise ParseError(f"point label {p!r} must be nonempty without braces, commas or spaces")
+    seen = set()
+    for p in labels:
+        if p in seen:
+            raise DuplicateLabel(f"point label {p!r} declared twice")
+        seen.add(p)
+    return labels
 
 
 def check_enum_points(n: int) -> None:

@@ -19,16 +19,8 @@ from typing import Iterable
 
 from .errors import BudgetExceeded, InvariantViolation, NotOpen
 from .finspace import FinTopSpace, _check_subset, bits, mask_of, set_repr
-from .hyperspace import (
-    FLAVORS,
-    EvPerSeq,
-    HyperTopology,
-    build_topology,
-    hyper_closure,
-    product_closure,
-    seq_limits,
-)
-from .limitsets import HyperCarrier, carrier as build_carrier
+from .hyperspace import FLAVORS, EvPerSeq, HyperTopology
+from .limitsets import HyperCarrier
 from .theorems import FAIL, PROXY, TRIVIALLY_TRUE, CheckResult
 
 ORACLE_OPENS_BUDGET = 20
@@ -155,16 +147,6 @@ def inclusion_relation(car: HyperCarrier) -> tuple[int, ...]:
     return tuple(mask_of(j for j, b in enumerate(elems) if not a & ~b) for a in elems)
 
 
-def identity_continuous_at(space: FinTopSpace, a: int) -> bool:
-    """Continuity at ``a`` of the identity map from (L(X), tau_w) to
-    (L(X), tau_s): the tau_w minimal neighborhood must already fit inside
-    the tau_s one.
-    """
-    car = build_carrier(space, "L")
-    i = car.index(a)
-    return not build_topology(car, "w").rows[i] & ~build_topology(car, "s").rows[i]
-
-
 def is_hausdorff(top: HyperTopology) -> bool:
     rows = top.rows
     k = len(top)
@@ -197,10 +179,6 @@ def product_min_nbhd(t1: HyperTopology, t2: HyperTopology, pair: tuple[int, int]
     return tuple(row if (t1.rows[i] >> x) & 1 else 0 for x in range(len(t1)))
 
 
-def product_is_closed(t1: HyperTopology, t2: HyperTopology, rel: tuple[int, ...]) -> bool:
-    return product_closure(t1, t2, rel) == tuple(rel)
-
-
 def S_of(m: tuple[int, ...], top: HyperTopology) -> int:
     """Mask of the elements whose whole row lies inside the relation m:
     the slice map {a : {a} x carrier inside m}."""
@@ -217,17 +195,6 @@ def term(seq: EvPerSeq, k: int) -> int:
     if k < len(seq.preperiod):
         return seq.preperiod[k]
     return seq.cycle[(k - len(seq.preperiod)) % len(seq.cycle)]
-
-
-def seq_clusters(top: HyperTopology, seq: EvPerSeq) -> int:
-    """Mask of the cluster points: some cycle term recurs inside the
-    minimal neighborhood."""
-    return hyper_closure(top, mask_of(seq.cycle))
-
-
-def is_primitive(top: HyperTopology, seq: EvPerSeq) -> bool:
-    """A sequence is primitive when its limit set equals its cluster set."""
-    return seq_limits(top, seq) == seq_clusters(top, seq)
 
 
 def conv1_conditions(space: FinTopSpace, seq: EvPerSeq, a: int) -> tuple[bool, bool]:

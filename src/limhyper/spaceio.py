@@ -12,19 +12,11 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .errors import DuplicateLabel, ParseError
-from .finspace import FinTopSpace, check_point_count, from_preorder, validate_topology
+from .errors import ParseError
+from .finspace import FinTopSpace, check_labels, from_preorder, validate_topology
 from .theorems import CheckResult, VerificationReport
 
 REPORT_SCHEMA = 1
-
-
-def _refuse_repeats(points: list) -> None:
-    seen = set()
-    for p in points:
-        if p in seen:
-            raise DuplicateLabel(f"point label {p!r} declared twice")
-        seen.add(p)
 
 
 class LabeledSpace(NamedTuple):
@@ -60,16 +52,9 @@ def parse_space(text: str) -> LabeledSpace:
     points = doc.get("points")
     if not isinstance(points, list):
         raise ParseError("'points' must be a list of string labels")
-    # refused by its length alone, before any label is read or any open
-    # mask is built
-    check_point_count(len(points))
-    if not all(isinstance(p, str) for p in points):
-        raise ParseError("'points' must be a list of string labels")
-    for p in points:
-        if not p or any(ch in "{}," or ch.isspace() for ch in p):
-            raise ParseError(f"point label {p!r} must be nonempty without braces, commas or spaces")
-    _refuse_repeats(points)
-    labels = tuple(points)
+    # too many labels are refused by their count alone, before any label
+    # is read or any open mask is built
+    labels = check_labels(points)
 
     has_opens = "opens" in doc
     has_preorder = "preorder" in doc
@@ -158,9 +143,9 @@ def parse_report(text: str) -> VerificationReport:
         raise ParseError(f"unsupported report schema {schema!r}")
     try:
         points, digest = doc["space"]["points"], doc["space"]["digest"]
-        if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+        if not isinstance(points, list):
             raise ParseError("'points' must be a list of string labels")
-        _refuse_repeats(points)
+        labels = check_labels(points)
         if not isinstance(digest, str):
             raise ParseError("'digest' must be a string")
         results = []
@@ -171,7 +156,6 @@ def parse_report(text: str) -> VerificationReport:
             if not all(isinstance(f, str) for f in fields):
                 raise ParseError("check ids, statuses, notes and witness keys and values must be strings")
             results.append(result)
-        labels = tuple(points)
         return VerificationReport(digest, len(labels), labels, tuple(results))
     except KeyError as exc:
         raise ParseError(f"report is missing the field {exc}") from None

@@ -23,7 +23,9 @@ from .finspace import (
     bits,
     canonical_key,
     check_enum_points,
+    check_labels,
     closure,
+    default_labels,
     digest,
     family_repr,
     is_connected,
@@ -54,9 +56,6 @@ FAIL = "fail"
 TRIVIALLY_TRUE = "trivially_true"
 PROXY = "proxy"
 
-_ALPHABET = "abcdefghijklmnop"
-
-
 class CheckResult(NamedTuple):
     check_id: str
     status: str
@@ -72,10 +71,6 @@ class VerificationReport(NamedTuple):
     elapsed_s: float = 0.0
 
 
-def default_labels(n: int) -> tuple[str, ...]:
-    return tuple(_ALPHABET[i] for i in range(n))
-
-
 class CheckEnv:
     """The carriers and hyperspace topologies that one space's checks share.
 
@@ -83,8 +78,9 @@ class CheckEnv:
     with a corrupted carrier or raw neighborhood table through the
     ``carriers`` / ``topologies`` overrides; every check then runs its
     ordinary logic against the broken structures. Labels, when given,
-    name the points one each and are distinct; ``None`` or an empty
-    sequence defaults them.
+    name the points one each and obey the one label rule of
+    ``finspace.check_labels``, the rule space documents and reports are
+    read by; ``None`` or an empty sequence defaults them.
     """
 
     def __init__(self, space, labels=None, carriers=None, topologies=None):
@@ -92,11 +88,8 @@ class CheckEnv:
         self.labels = tuple(labels) if labels else default_labels(space.n)
         if len(self.labels) != space.n:
             raise ValueError(f"{len(self.labels)} labels given for a space of {space.n} points")
-        seen = set()
-        for label in self.labels:
-            if label in seen:
-                raise ValueError(f"label {label!r} names more than one point")
-            seen.add(label)
+        if labels:
+            check_labels(self.labels)
         self._carriers: dict[str, HyperCarrier] = dict(carriers or {})
         self._topologies: dict[tuple[str, str], HyperTopology] = dict(topologies or {})
 

@@ -283,15 +283,11 @@ ORACLE_EXPORTS = (
     "S_of",
     "basic_open_membership",
     "conv1_conditions",
-    "identity_continuous_at",
     "inclusion_relation",
     "is_hausdorff",
     "is_limit_set_oracle",
-    "is_primitive",
     "min_nbhd_oracle",
-    "product_is_closed",
     "product_min_nbhd",
-    "seq_clusters",
 )
 
 

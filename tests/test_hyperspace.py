@@ -35,16 +35,12 @@ from limhyper.oracle import (
     S_of,
     basic_open_membership,
     conv1_conditions,
-    identity_continuous_at,
     inclusion_relation,
     is_hausdorff,
-    is_primitive,
     member_wise_compact_cover,
     min_nbhd_oracle,
     pairwise_separated,
-    product_is_closed,
     product_min_nbhd,
-    seq_clusters,
     term,
 )
 from limhyper.theorems import FAIL, CheckEnv, _cyclic_topology, _non_closed_tables, corrupted_environments, run_check
@@ -333,12 +329,19 @@ def test_density_and_closedness_examples(sierpinski, discrete2):
 # ----------------------------------------------------- continuity / separation
 
 def test_identity_continuous_examples(sierpinski, three_point):
-    assert identity_continuous_at(sierpinski, 0b11)
-    assert not identity_continuous_at(sierpinski, 0b10)
-    assert not identity_continuous_at(sierpinski, 0)
-    assert identity_continuous_at(three_point, 0b101)
+    # the identity from (L, tau_w) to (L, tau_s) is continuous at a when
+    # a's tau_w minimal neighborhood fits inside its tau_s one, both read
+    # off the hit and miss sets around a
+    def continuous_at(space, a):
+        l = carrier(space, "L")
+        return not min_nbhd_oracle(l, "w", a) & ~min_nbhd_oracle(l, "s", a)
+
+    assert continuous_at(sierpinski, 0b11)
+    assert not continuous_at(sierpinski, 0b10)
+    assert not continuous_at(sierpinski, 0)
+    assert continuous_at(three_point, 0b101)
     with pytest.raises(NotInCarrier):
-        identity_continuous_at(validate_topology(2, [0, 1, 2, 3]), 0b11)
+        continuous_at(validate_topology(2, [0, 1, 2, 3]), 0b11)
 
 
 def test_is_separated_in_examples(sierpinski, three_point):
@@ -435,7 +438,7 @@ def test_product_ops_and_inclusion_closed(sierpinski):
     e = inclusion_relation(l)
     assert (e[l.index(0b10)] >> l.index(0b11)) & 1
     assert not (e[l.index(0b11)] >> l.index(0b10)) & 1
-    assert product_is_closed(ts, ts, e)
+    assert product_closure(ts, ts, e) == e
     assert product_min_nbhd(ts, ts, (0, 1)) == (0b010, 0, 0)  # the one pair (0, 1)
 
     full = (1 << len(l.elements)) - 1
@@ -447,7 +450,8 @@ def test_inclusion_relation_closed_exhaustive_n4():
     for space in spaces_upto(4, start=1):
         l = carrier(space, "L")
         ts = build_topology(l, "s")
-        assert product_is_closed(ts, ts, inclusion_relation(l))
+        e = inclusion_relation(l)
+        assert product_closure(ts, ts, e) == e
 
 
 def test_slice_of_product_open_is_open():
@@ -639,7 +643,8 @@ def test_seq_ops_sierpinski_constant_at_x(sierpinski):
     const = EvPerSeq((), (x,))
     assert seq_limits(tw, const) == 0b111
     assert seq_limits(ts, const) == 1 << x
-    assert is_primitive(tw, const)
+    # primitive: the limit set is the cluster set, the closure of the cycle
+    assert seq_limits(tw, const) == hyper_closure(tw, mask_of(const.cycle))
 
 
 def test_seq_ops_sierpinski_cycle(sierpinski):
@@ -648,8 +653,8 @@ def test_seq_ops_sierpinski_cycle(sierpinski):
     ts = build_topology(f, "s")
     seq = EvPerSeq((), (f.index(0b10), f.index(0b11)))
     assert seq_limits(tw, seq) == 1 << f.index(0) | 1 << f.index(0b10)
-    assert seq_clusters(tw, seq) == 0b111
-    assert not is_primitive(tw, seq)
+    assert hyper_closure(tw, mask_of(seq.cycle)) == 0b111
+    assert seq_limits(tw, seq) != hyper_closure(tw, mask_of(seq.cycle))
     assert seq_limits(ts, seq) == 0
 
 
@@ -809,7 +814,7 @@ def test_primitive_characterization_matches_fell_convergence():
                     seq = EvPerSeq(pre, cyc)
                     lim_s = seq_limits(ts, seq)
                     lim_w = seq_limits(tw, seq)
-                    prim = is_primitive(tw, seq)
+                    prim = lim_w == hyper_closure(tw, mask_of(cyc))
                     for a in range(k):
                         subs = mask_of(j for j in range(k) if not f.elements[j] & ~f.elements[a])
                         assert bool((lim_s >> a) & 1) == (prim and lim_w == subs)

@@ -1,11 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limhyper import (
     AxiomViolation,
     DuplicateLabel,
     GroundMismatch,
+    LimHyperError,
     ParseError,
     emit_report,
     parse_report,
@@ -15,6 +18,7 @@ from limhyper import (
 )
 from limhyper.finspace import set_repr
 from limhyper.spaceio import parse_point_set
+from limhyper.theorems import CheckEnv
 
 SIERPINSKI_DOC = '{"points": ["a", "b"], "opens": [[], ["a"], ["a", "b"]]}'
 
@@ -67,14 +71,19 @@ def test_parse_space_refuses_too_many_points_before_reading_them(monkeypatch):
         reads.clear()
 
 
+def report_with_points(points) -> str:
+    return json.dumps({"schema": 1, "space": {"digest": "abc", "points": points}, "checks": []})
+
+
 def test_point_count_refusals_share_one_message():
-    # parse_space, validate_topology and from_preorder refuse a ground set
-    # past 0..16 through one guard, with one message
+    # parse_space, parse_report, validate_topology and from_preorder refuse
+    # a ground set past 0..16 through one guard, with one message
     from limhyper import from_preorder
 
     labels = json.dumps([f"p{i}" for i in range(17)])
     refusals = [
         (17, lambda: parse_space(f'{{"points": {labels}, "opens": [[]]}}')),
+        (17, lambda: parse_report(report_with_points(json.loads(labels)))),
         (17, lambda: validate_topology(17, [0])),
         (-1, lambda: validate_topology(-1, [0])),
         (17, lambda: from_preorder(17, [])),
@@ -86,9 +95,13 @@ def test_point_count_refusals_share_one_message():
 
 
 def test_parse_space_rejects_unrenderable_labels():
+    # {a,b,c} would name two point sets at once; a report is read by the
+    # same rule
     for bad in ("a,b", "a b", "{a}", ""):
         with pytest.raises(ParseError):
             parse_space(f'{{"points": ["{bad}"], "opens": [[], ["{bad}"]]}}')
+        with pytest.raises(ParseError, match="must be nonempty without braces, commas or spaces"):
+            parse_report(report_with_points([bad, "c"]))
 
 
 def test_parse_space_error_cases():
@@ -178,6 +191,47 @@ def test_parse_report_refuses_a_repeated_point_label(sierpinski):
     for points in (["a", "a"], ["a", "b", "a"]):
         with pytest.raises(DuplicateLabel, match="'a' declared twice"):
             parse_report(json.dumps(dict(doc, space={"digest": "abc", "points": points})))
+
+
+# letters, the characters the label grammar refuses or the witness
+# grammars of ``converge`` split on, the empty string and non-strings;
+# short entries drawn from few characters repeat often
+LABEL_ENTRIES = st.one_of(
+    st.text(alphabet="abc{}, \t|;[]", max_size=2),
+    st.text(alphabet="abcdefgh", min_size=1, max_size=2),
+    st.integers(0, 2),
+    st.none(),
+    st.booleans(),
+)
+
+
+def label_outcome(read):
+    try:
+        read()
+    except LimHyperError as exc:
+        return type(exc), str(exc)
+    return "accepted"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LABEL_ENTRIES, min_size=1, max_size=17))
+def test_labels_pass_one_rule_in_every_reader(labels):
+    # verify writes a report with the labels CheckEnv accepts, and
+    # parse_space and parse_report read documents with the same points:
+    # all three accept the same lists and refuse the rest alike
+    n = len(labels)
+    doc = json.dumps({"points": labels, "opens": [[], labels]})
+    outcomes = {
+        label_outcome(lambda: parse_space(doc)),
+        label_outcome(lambda: parse_report(report_with_points(labels))),
+    }
+    if n <= 16:
+        space = validate_topology(n, [0, (1 << n) - 1])
+        outcomes.add(label_outcome(lambda: CheckEnv(space, labels)))
+    assert len(outcomes) == 1, (labels, outcomes)
+    if outcomes == {"accepted"}:
+        assert parse_report(emit_report(verify_all(space, labels), "json")).labels == tuple(labels)
+        assert parse_space(doc) == (space, tuple(labels))
 
 
 def test_emit_is_deterministic(three_point):

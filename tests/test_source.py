@@ -76,3 +76,25 @@ def test_library_imports_only_names_it_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         offenders += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert offenders == []
+
+
+def test_oracle_imports_no_function_of_the_decision_modules():
+    # a reference that called a fast path would check that path against
+    # itself, so the oracle reads only classes and constants of the
+    # modules whose functions it is a reference for
+    import limhyper.oracle as oracle
+
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    imported = [
+        (alias.name, alias.asname or alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("hyperspace", "limitsets", "theorems")
+        for alias in node.names
+    ]
+    assert {"HyperCarrier", "CheckResult"} <= {name for name, _ in imported}
+    offenders = []
+    for name, bound in imported:
+        value = getattr(oracle, bound)
+        if callable(value) and not isinstance(value, type):
+            offenders.append(name)
+    assert offenders == []

@@ -12,7 +12,9 @@ import pytest
 from conftest import bench_doc_spaces, hyper_table, spaces_upto
 from limhyper import (
     BudgetExceeded,
+    DuplicateLabel,
     NotOpen,
+    ParseError,
     carrier,
     carriers,
     enumerate_topologies,
@@ -148,10 +150,28 @@ def test_labels_must_name_every_point(sierpinski):
 def test_labels_must_be_distinct(sierpinski, three_point):
     # a report whose points share a label is one that parse_space refuses
     # to read back
-    with pytest.raises(ValueError, match="label 'a' names more than one point"):
+    with pytest.raises(DuplicateLabel, match="point label 'a' declared twice"):
         verify_all(sierpinski, labels=("a", "a"))
-    with pytest.raises(ValueError, match="label 'y' names more than one point"):
+    with pytest.raises(DuplicateLabel, match="point label 'y' declared twice"):
         CheckEnv(three_point, labels=("x", "y", "y"))
+
+
+def test_verify_all_refuses_labels_a_document_refuses(sierpinski, monkeypatch):
+    # "a,b" would write the witness {a,b,c} for two sets at once, and a
+    # report with non-string points is one parse_report cannot read back;
+    # each list is refused before any check runs
+    def ran(check_id, env):
+        raise AssertionError(f"{check_id} ran on refused labels")
+
+    monkeypatch.setattr(theorems, "run_check", ran)
+    for labels, message in (
+        (("a,b", "c"), "point label 'a,b' must be nonempty without braces, commas or spaces"),
+        ((1, 2), "'points' must be a list of string labels"),
+        (("", "b"), "point label '' must be nonempty without braces, commas or spaces"),
+    ):
+        with pytest.raises(ParseError) as info:
+            verify_all(sierpinski, labels=labels)
+        assert str(info.value) == message
 
 
 def test_sweep_refuses_worker_counts_below_one(monkeypatch):
