@@ -28,7 +28,6 @@ from .finspace import (
     validate_topology,
 )
 from .hyperspace import (
-    EvPerSeq,
     HyperTopology,
     build_topology,
     hyper_closure,

@@ -13,9 +13,9 @@ import re
 import sys
 from functools import cache
 
-from .errors import AxiomViolation, LimHyperError, ParseError
+from .errors import AxiomViolation, LimHyperError, NotInCarrier, ParseError
 from .finspace import digest, members, separated_points, set_repr
-from .hyperspace import FLAVORS, EvPerSeq, build_topology, is_separated_in, seq_limits
+from .hyperspace import FLAVORS, build_topology, is_separated_in, seq_limits
 from .limitsets import CARRIER_KINDS, carrier, carriers
 from .spaceio import LabeledSpace, emit_report, parse_point_set, parse_space
 from .theorems import FAIL, sweep, verify_all
@@ -91,7 +91,10 @@ def _cmd_sweep(args) -> int:
     return 1 if result.failure_count else 0
 
 
-def _parse_seq(spec: str, labels, closed_elems) -> EvPerSeq:
+def _parse_seq(spec: str, labels, fcar) -> tuple[int, ...]:
+    """The cycle of an eventually periodic sequence of closed sets, as F
+    carrier indices. The preperiod is read and checked term by term, then
+    dropped: convergence is a tail property."""
     match = _SEQ.fullmatch(spec.strip())
     if not match:
         raise ParseError("sequence must look like pre:[{a},...];cyc:[{b},...]")
@@ -106,27 +109,31 @@ def _parse_seq(spec: str, labels, closed_elems) -> EvPerSeq:
         for piece in re.findall(_TERM, body):
             mask = parse_point_set(piece, labels)
             try:
-                terms.append(closed_elems.index(mask))
-            except ValueError:
+                terms.append(fcar.index(mask))
+            except NotInCarrier:
                 raise ParseError(
                     f"{set_repr(mask, labels)} is not a closed set of the space"
                 ) from None
         return tuple(terms)
 
-    return EvPerSeq(*map(parse_terms, match.groups()))
+    _, cycle = map(parse_terms, match.groups())
+    if not cycle:
+        raise ParseError("cycle must be nonempty")
+    return cycle
 
 
 def _cmd_converge(args) -> int:
     doc = _load(args.file)
-    space, labels = doc.space, doc.labels
-    fcar = carrier(space, "F")
-    seq = _parse_seq(args.seq, labels, fcar.elements)
+    labels = doc.labels
+    fcar = carrier(doc.space, "F")
+    cycle = _parse_seq(args.seq, labels, fcar)
     target = parse_point_set(args.target, labels)
-    if target not in fcar.elements:
-        raise ParseError(f"target {set_repr(target, labels)} is not a closed set")
+    try:
+        i = fcar.index(target)
+    except NotInCarrier:
+        raise ParseError(f"target {set_repr(target, labels)} is not a closed set") from None
     top = build_topology(fcar, args.topology)
-    limits = seq_limits(top, seq)
-    print("limit: " + ("yes" if (limits >> fcar.index(target)) & 1 else "no"))
+    print("limit: " + ("yes" if (seq_limits(top, cycle) >> i) & 1 else "no"))
     return 0
 
 

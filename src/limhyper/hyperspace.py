@@ -62,20 +62,6 @@ class HyperTopology(_Value):
         return tuple(frozenset(bits(row)) for row in self.rows)
 
 
-class EvPerSeq(_Value):
-    """An eventually periodic sequence: a finite preperiod and a nonempty
-    cycle repeated forever. Entries are carrier indices for topology-level
-    operations and closed-set masks for the point-selection conditions.
-    """
-
-    _fields = ("preperiod", "cycle")
-
-    def __init__(self, preperiod: tuple[int, ...], cycle: tuple[int, ...]):
-        if not cycle:
-            raise ValueError("cycle must be nonempty")
-        self.__dict__.update(preperiod=preperiod, cycle=cycle)
-
-
 def build_topology(car: HyperCarrier, flavor: str) -> HyperTopology:
     """Closed-form minimal neighborhoods of a carrier of closed sets; a
     carrier holding a set that is not closed is refused with ``ValueError``.
@@ -143,11 +129,12 @@ def product_closure(t1: HyperTopology, t2: HyperTopology, rel: tuple[int, ...]) 
     return tuple(hyper_closure(t2, union_of(rel, row)) for row in t1.rows)
 
 
-def seq_limits(top: HyperTopology, seq: EvPerSeq) -> int:
+def seq_limits(top: HyperTopology, cycle: tuple[int, ...]) -> int:
     """Mask of the limits of an eventually periodic sequence of carrier
-    elements: the tail visits only the cycle, so A is a limit exactly when
-    every cycle term sits in the minimal neighborhood of A."""
+    elements, given by its cycle: convergence is a tail property and the
+    tail visits only the cycle, so A is a limit exactly when every cycle
+    term sits in the minimal neighborhood of A."""
     lim = (1 << len(top)) - 1
-    for t in seq.cycle:
+    for t in cycle:
         lim &= top.cols[t]
     return lim

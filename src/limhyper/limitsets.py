@@ -23,24 +23,21 @@ class HyperCarrier(_Value):
     Elements are canonically ordered (cardinality, then mask), so carrier
     indices are stable across runs.
 
-    ``base`` is a carrier of the same space whose elements are this one's,
-    or this one's behind a leading empty set; ``holding``, ``subsets`` and
-    ``supersets`` are then read off base's tables instead of computed. The
-    empty set holds no point and lies inside every set, so dropping it
-    drops base's first row and bit 0 of every row: each row shifts right
-    one bit, and ``holding``, one row per point, keeps all its rows.
-    ``base`` is not in ``_fields``, so equality, hashing and ``repr`` read
-    the space, kind and elements only.
+    ``carriers`` links a carrier to the one it is nested in, its private
+    ``_base``: a carrier of the same space whose elements are this one's,
+    or this one's behind a leading empty set. ``holding``, ``subsets``
+    and ``supersets`` are then read off the base's tables instead of
+    computed. The empty set holds no point and lies inside every set, so
+    dropping it drops the base's first row and bit 0 of every row: each
+    row shifts right one bit, and ``holding``, one row per point, keeps
+    all its rows.
     """
 
     _fields = ("space", "kind", "elements")
+    _base: HyperCarrier | None = None
 
-    def __init__(self, space: FinTopSpace, kind: str, elements: tuple[int, ...], base: HyperCarrier | None = None):
-        if base is not None:
-            elems = base.elements
-            if base.space != space or not (elems == elements or elems[:1] == (0,) and elems[1:] == elements):
-                raise ValueError(f"carrier {base.kind} holds neither the elements of {kind} nor the empty set before them")
-        self.__dict__.update(space=space, kind=kind, elements=elements, base=base)
+    def __init__(self, space: FinTopSpace, kind: str, elements: tuple[int, ...]):
+        self.__dict__.update(space=space, kind=kind, elements=elements)
 
     def _from_base(self, rows: tuple[int, ...]) -> tuple[int, ...]:
         # base's per-element table: the same tuple, or without its first row
@@ -58,7 +55,7 @@ class HyperCarrier(_Value):
     def holding(self) -> tuple[int, ...]:
         """``holding[x]``: mask of the carrier indices whose element holds x,
         the transpose of the elements."""
-        base = self.base
+        base = self._base
         if base is None:
             return transpose(self.elements, self.space.n)
         if len(base.elements) == len(self.elements):
@@ -79,8 +76,8 @@ class HyperCarrier(_Value):
     def subsets(self) -> tuple[int, ...]:
         """``subsets[i]``: mask of the carrier indices whose element lies
         inside element i, the elements missing every point outside it."""
-        if self.base is not None:
-            return self._from_base(self.base.subsets)
+        if self._base is not None:
+            return self._from_base(self._base.subsets)
         full_k = (1 << len(self.elements)) - 1
         full = self.space.full
         return tuple(full_k & ~self.meeting(full & ~a) for a in self.elements)
@@ -89,8 +86,8 @@ class HyperCarrier(_Value):
     def supersets(self) -> tuple[int, ...]:
         """``supersets[i]``: mask of the carrier indices whose element
         contains element i, the elements holding each of its points."""
-        if self.base is not None:
-            return self._from_base(self.base.supersets)
+        if self._base is not None:
+            return self._from_base(self._base.supersets)
         full_k = (1 << len(self.elements)) - 1
         return tuple(meet_of(self.holding, a, full_k) for a in self.elements)
 
@@ -149,7 +146,7 @@ def carriers(space: FinTopSpace) -> dict[str, HyperCarrier]:
 
     The empty set comes first in canonical order, so Fprime takes its
     tables from F, L from F when every closed set is a limit set, and
-    Lprime from Fprime then, else from L (``HyperCarrier.base``); the
+    Lprime from Fprime then, else from L (``HyperCarrier._base``); the
     tables are built on first use. Every element is the complement of an
     open, so each carrier records ``closed``, and ML, an antichain, the
     identity as its ``subsets`` and ``supersets``.
@@ -161,13 +158,12 @@ def carriers(space: FinTopSpace) -> dict[str, HyperCarrier]:
         if c and all(c & ~d for d in maximal):
             maximal.append(c)
     f = HyperCarrier(space, "F", closed)
-    fp = HyperCarrier(space, "Fprime", closed[1:], f)
-    if len(limits) == len(closed):
-        l = HyperCarrier(space, "L", limits, f)
-        lp = HyperCarrier(space, "Lprime", fp.elements, fp)
-    else:
-        l = HyperCarrier(space, "L", limits)
-        lp = HyperCarrier(space, "Lprime", limits[1:], l)
+    fp = HyperCarrier(space, "Fprime", closed[1:])
+    l = HyperCarrier(space, "L", limits)
+    lp = HyperCarrier(space, "Lprime", limits[1:])
+    links = ((fp, f), (l, f), (lp, fp)) if len(limits) == len(closed) else ((fp, f), (lp, l))
+    for car, base in links:
+        car.__dict__["_base"] = base
     ml = HyperCarrier(space, "ML", tuple(reversed(maximal)))
     identity = tuple(1 << i for i in range(len(maximal)))
     ml.__dict__.update(subsets=identity, supersets=identity)

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .errors import BudgetExceeded, InvariantViolation, NotOpen
 from .finspace import FinTopSpace, _check_subset, bits, mask_of, set_repr
-from .hyperspace import FLAVORS, EvPerSeq, HyperTopology
+from .hyperspace import FLAVORS, HyperTopology
 from .limitsets import HyperCarrier
 from .theorems import FAIL, PROXY, TRIVIALLY_TRUE, CheckResult
 
@@ -189,17 +189,10 @@ def S_of(m: tuple[int, ...], top: HyperTopology) -> int:
 # --------------------------------------------------------------- sequences
 
 
-def term(seq: EvPerSeq, k: int) -> int:
-    """Term k of an eventually periodic sequence: the preperiod, then the
-    cycle repeated forever."""
-    if k < len(seq.preperiod):
-        return seq.preperiod[k]
-    return seq.cycle[(k - len(seq.preperiod)) % len(seq.cycle)]
-
-
-def conv1_conditions(space: FinTopSpace, seq: EvPerSeq, a: int) -> tuple[bool, bool]:
-    """Point-selection conditions for a sequence of closed-set masks
-    against a target closed set ``a``.
+def conv1_conditions(space: FinTopSpace, cycle: tuple[int, ...], a: int) -> tuple[bool, bool]:
+    """Point-selection conditions for an eventually periodic sequence of
+    closed-set masks, given by its cycle, against a target closed set
+    ``a``.
 
     First condition: every point obtainable as the limit of points picked
     from infinitely many cycle terms lies in ``a``. A periodic selection
@@ -215,7 +208,7 @@ def conv1_conditions(space: FinTopSpace, seq: EvPerSeq, a: int) -> tuple[bool, b
 
     Convergence is a tail property; the preperiod never matters.
     """
-    terms = set(seq.cycle)
+    terms = set(cycle)
     escape = 0
     inside = []
     for x, row in enumerate(space.rows):
@@ -252,7 +245,7 @@ def per_cycle_conv_props(env, max_pre=1, max_cycle=2):
         fell = mask_of(a for a, row in enumerate(ts.rows) if all((row >> t) & 1 for t in cyc))
         lower = mask_of(a for a, row in enumerate(tw.rows) if all((row >> t) & 1 for t in cyc))
         clusters = mask_of(a for a, row in enumerate(tw.rows) if any((row >> t) & 1 for t in cyc))
-        masks = EvPerSeq((), tuple(elems[t] for t in cyc))
+        masks = tuple(elems[t] for t in cyc)
         for a, target in enumerate(elems):
             flags = (
                 bool((fell >> a) & 1),

@@ -102,7 +102,7 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
     inputs give identical bytes.
     """
     if fmt == "text":
-        lines = [f"space: n={report.n} digest={report.space_digest}"]
+        lines = [f"space: n={len(report.labels)} digest={report.space_digest}"]
         for r in report.results:
             lines.append(f"{r.check_id}: {r.status}")
             for key, value in r.witness:
@@ -156,7 +156,7 @@ def parse_report(text: str) -> VerificationReport:
             if not all(isinstance(f, str) for f in fields):
                 raise ParseError("check ids, statuses, notes and witness keys and values must be strings")
             results.append(result)
-        return VerificationReport(digest, len(labels), labels, tuple(results))
+        return VerificationReport(digest, labels, tuple(results))
     except KeyError as exc:
         raise ParseError(f"report is missing the field {exc}") from None
     except (TypeError, AttributeError):

@@ -65,7 +65,6 @@ class CheckResult(NamedTuple):
 
 class VerificationReport(NamedTuple):
     space_digest: str
-    n: int
     labels: tuple[str, ...]
     results: tuple[CheckResult, ...]
     elapsed_s: float = 0.0
@@ -567,13 +566,10 @@ def verify_all(space: FinTopSpace, labels=None) -> VerificationReport:
     env = CheckEnv(space, labels)
     t0 = time.perf_counter()
     results = [run_check(check_id, env) for check_id in CHECKS]
-    return VerificationReport(
-        digest(space), space.n, env.labels, tuple(results), time.perf_counter() - t0
-    )
+    return VerificationReport(digest(space), env.labels, tuple(results), time.perf_counter() - t0)
 
 
 class SweepResult(NamedTuple):
-    n: int
     space_count: int
     failure_count: int
     first_failures: tuple[tuple[str, str], ...]  # (check_id, space digest)
@@ -642,18 +638,11 @@ def sweep(n: int, long_run: bool = False, jobs: int = 1) -> SweepResult:
         failures += part_failures
         for check_id, dig in part_first:
             first.setdefault(check_id, dig)
-    return SweepResult(
-        n,
-        count,
-        failures,
-        tuple(sorted(first.items())),
-        time.perf_counter() - t0,
-    )
+    return SweepResult(count, failures, tuple(sorted(first.items())), time.perf_counter() - t0)
 
 
 class MiningHit(NamedTuple):
     description: str
-    labels: tuple[str, ...]
     result: CheckResult
 
 
@@ -759,7 +748,8 @@ def mine_check_failures(space: FinTopSpace) -> dict[str, MiningHit]:
     """Expect-fail exploration: corrupt the structures and record, per
     check, the first corruption it detects. Proves the suite is
     non-vacuous. The checks of one corruption share its environment: they
-    only fill its caches of carriers and tables, which are deterministic."""
+    only fill its caches of carriers and tables, which are deterministic.
+    Witnesses name the points by ``default_labels(space.n)``."""
     found: dict[str, MiningHit] = {}
     for description, env in corrupted_environments(space):
         remaining = [cid for cid in CHECKS if cid not in found]
@@ -768,5 +758,5 @@ def mine_check_failures(space: FinTopSpace) -> dict[str, MiningHit]:
         for cid in remaining:
             result = run_check(cid, env)
             if result.status == FAIL:
-                found[cid] = MiningHit(description, env.labels, result)
+                found[cid] = MiningHit(description, result)
     return found

@@ -7,10 +7,10 @@ import sys
 
 import pytest
 
-from conftest import BENCH_DOCS, DOC_NAMES
-from limhyper import EvPerSeq, ParseError, build_topology, carriers, cli, parse_space
+from conftest import BENCH_DOCS, DOC_NAMES, spaces_upto
+from limhyper import ParseError, build_topology, carrier, carriers, cli, parse_space, validate_topology
 from limhyper.cli import run
-from limhyper.finspace import digest, mask_of
+from limhyper.finspace import default_labels, digest, mask_of, set_repr
 from limhyper.hyperspace import FLAVORS
 from limhyper.limitsets import CARRIER_KINDS
 from limhyper.oracle import family_repr_oracle, pairwise_separated, set_repr_oracle
@@ -247,10 +247,41 @@ def test_converge_rejects_non_closed_target(sierpinski_file, capsys):
 
 
 def test_converge_refuses_an_empty_cycle(sierpinski_file, capsys):
-    # the sequence type is the one home of this refusal
+    # _parse_seq refuses an empty cycle once both parts are read
     rc = run(["converge", sierpinski_file, "--seq", "pre:[];cyc:[]", "--target", "{}"])
     assert rc == 2
     assert capsys.readouterr() == ("", "error: cycle must be nonempty\n")
+
+
+def test_converge_refuses_a_bad_preperiod_term_before_an_empty_cycle(sierpinski_file, capsys):
+    # the preperiod is read and checked though no verdict reads it, so its
+    # non-closed term is refused before the empty cycle is
+    rc = run(["converge", sierpinski_file, "--seq", "pre:[{a}];cyc:[]", "--target", "{}"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: {a} is not a closed set of the space\n")
+
+
+def test_converge_answers_the_same_with_any_closed_preperiod(tmp_path, capsys):
+    # convergence is a tail property: on every space with n <= 2, every F
+    # cycle of at most two terms against every closed target in both
+    # flavors answers with a closed one-term preperiod as with none
+    answers = set()
+    for k, space in enumerate(spaces_upto(2)):
+        labels = default_labels(space.n)
+        path = tmp_path / f"space{k}.json"
+        opens = [[labels[x] for x in range(space.n) if (u >> x) & 1] for u in space.opens]
+        path.write_text(json.dumps({"points": list(labels), "opens": opens}))
+        names = [set_repr(m, labels) for m in carrier(space, "F").elements]
+        cycles = [",".join(c) for size in (1, 2) for c in itertools.product(names, repeat=size)]
+        for flavor, cyc, target in itertools.product(FLAVORS, cycles, names):
+            outcomes = set()
+            for pre in ["", *names]:
+                argv = ["converge", str(path), "--seq", f"pre:[{pre}];cyc:[{cyc}]", "--target", target]
+                outcomes.add((run(argv + ["--topology", flavor]), capsys.readouterr()))
+            assert len(outcomes) == 1, (space, flavor, cyc, target, outcomes)
+            answers |= outcomes
+    assert {(rc, err) for rc, (_, err) in answers} == {(0, "")}
+    assert {out for _, (out, _) in answers} == {"limit: yes\n", "limit: no\n"}
 
 
 def test_console_entry_point(sierpinski_file):
@@ -371,33 +402,36 @@ def test_parse_seq_accepts_exactly_what_the_grammar_generates():
     # every part of up to five characters over braces, separators, spaces
     # and the labels of the discrete two-point space, as the cycle and as
     # the preperiod: the parser accepts exactly the parts the grammar
-    # generates and reads each back as the sets its groups name, so bare
-    # labels, doubled, leading or trailing separators and empty slots are
-    # refused
-    labels, elems = ("a", "b"), (0, 1, 2, 3)
+    # generates and reads each cycle back as the sets its groups name, so
+    # bare labels, doubled, leading or trailing separators and empty slots
+    # are refused. On the discrete two-point space each subset is closed,
+    # and its F index is its mask
+    labels, fcar = ("a", "b"), carrier(validate_topology(2, range(4)), "F")
+    assert fcar.elements == (0, 1, 2, 3)
     language = grammar_parts(5)
 
     def outcome(spec):
-        # an empty cycle is refused by EvPerSeq's ValueError, every other
-        # part by a ParseError; run answers both with exit code 2
+        # the cycle read, or None for a refusal: every refusal, the empty
+        # cycle's included, is a ParseError, which run answers with exit
+        # code 2; the preperiod is checked and dropped
         try:
-            return cli._parse_seq(spec, labels, elems)
-        except (ParseError, ValueError):
+            return cli._parse_seq(spec, labels, fcar)
+        except ParseError:
             return None
 
     accepted = 0
     for length in range(6):
         for part in map("".join, itertools.product("{},| ab", repeat=length)):
             terms = language.get(part)
-            assert outcome(f"pre:[];cyc:[{part}]") == (EvPerSeq((), terms) if terms else None), part
-            assert outcome(f"pre:[{part}];cyc:[{{a}}]") == (None if terms is None else EvPerSeq(terms, (1,))), part
+            assert outcome(f"pre:[];cyc:[{part}]") == (terms or None), part
+            assert outcome(f"pre:[{part}];cyc:[{{a}}]") == (None if terms is None else (1,)), part
             accepted += terms is not None
     assert accepted == len(language) == 62 and {"{},{}", "{}|{}"} <= language.keys()
     # longer sequences written as the grammar allows: terms with spaces
     # inside the braces, separated by a comma with or without whitespace
     # after it or by a '|' with or without spaces around it, a preperiod
-    # that may be empty and spaces around the whole; each reads back as the
-    # closed sets it was written from, and a brace, a '|' or ',,' put
+    # that may be empty and spaces around the whole; each cycle reads back
+    # as the closed sets it was written from, and a brace, a '|' or ',,' put
     # anywhere in either part, which no position makes grammatical, is
     # refused
     spellings = {0: ["{}", "{ }"], 1: ["{a}", "{ a }"], 2: ["{b}", "{b }"], 3: ["{a,b}", "{ b , a }", "{b,a}"]}
@@ -415,7 +449,7 @@ def test_parse_seq_accepts_exactly_what_the_grammar_generates():
         cyc = tuple(rng.randrange(4) for _ in range(rng.randint(1, 4)))
         bodies = [write(pre), write(cyc)]
         spec = " " * rng.randint(0, 1) + "pre:[{}];cyc:[{}]".format(*bodies)
-        assert outcome(spec) == EvPerSeq(pre, cyc), spec
+        assert outcome(spec) == cyc, spec
         part = rng.randrange(2)
         at = rng.randint(0, len(bodies[part]))
         bodies[part] = bodies[part][:at] + rng.choice(["{", "}", "|", ",,"]) + bodies[part][at:]

@@ -11,13 +11,13 @@ from limhyper import (
     AxiomViolation,
     BudgetExceeded,
     CheckResult,
-    EvPerSeq,
     GroundMismatch,
     HyperCarrier,
     HyperTopology,
     LabeledSpace,
     SweepResult,
     VerificationReport,
+    carriers,
     closed_sets,
     closure,
     enumerate_topologies,
@@ -537,7 +537,7 @@ def test_members_reads_sparse_and_dense_masks_alike():
 
 def test_value_records_compare_by_their_fields_and_stay_immutable():
     # each maker builds a fresh record from equal fields; the variants of
-    # the four hand-written classes each change one compared field
+    # the three hand-written classes each change one compared field
     space = lambda: FinTopSpace(2, (0b00, 0b01, 0b11))
     car = lambda: HyperCarrier(space(), "F", (0b00, 0b10, 0b11))
     result = lambda: CheckResult("check_baire", "pass", (("k", "v"),), "note")
@@ -559,11 +559,10 @@ def test_value_records_compare_by_their_fields_and_stay_immutable():
                 HyperTopology(car(), "w", (1, 2, 4)),
             ],
         ),
-        EvPerSeq: (lambda: EvPerSeq((0,), (1, 2)), [EvPerSeq((), (1, 2)), EvPerSeq((0,), (2, 1))]),
         CheckResult: (result, []),
-        VerificationReport: (lambda: VerificationReport("abc", 2, ("a", "b"), (result(),), 0.5), []),
-        SweepResult: (lambda: SweepResult(2, 4, 0, (), 0.5), []),
-        MiningHit: (lambda: MiningHit("corruption", ("a", "b"), result()), []),
+        VerificationReport: (lambda: VerificationReport("abc", ("a", "b"), (result(),), 0.5), []),
+        SweepResult: (lambda: SweepResult(4, 0, (), 0.5), []),
+        MiningHit: (lambda: MiningHit("corruption", result()), []),
         LabeledSpace: (lambda: LabeledSpace(space(), ("a", "b")), []),
     }
     for cls, (make, variants) in records.items():
@@ -584,15 +583,11 @@ def test_value_records_compare_by_their_fields_and_stay_immutable():
     assert all(issubclass(cls, tuple) for cls in named)
     assert not any(issubclass(cls, tuple) for cls in records if cls not in named)
 
-    # base only says where the tables come from
+    # the link carriers records only says where the tables come from
     f = car()
-    fp = HyperCarrier(space(), "Fprime", (0b10, 0b11), f)
-    assert fp.base is f and fp == HyperCarrier(space(), "Fprime", (0b10, 0b11))
+    fp = carriers(space())["Fprime"]
+    assert fp._base == f and fp == HyperCarrier(space(), "Fprime", (0b10, 0b11))
     assert hash(fp) == hash(HyperCarrier(space(), "Fprime", (0b10, 0b11)))
-    with pytest.raises(ValueError, match="holds neither the elements of L"):
-        HyperCarrier(space(), "L", (0b10,), f)
-    with pytest.raises(ValueError, match="cycle must be nonempty"):
-        EvPerSeq((), ())
 
     assert repr(space()) == "FinTopSpace(n=2, opens=[{} {0} {0,1}])"
     assert repr(fp) == "HyperCarrier(space=FinTopSpace(n=2, opens=[{} {0} {0,1}]), kind='Fprime', elements=(2, 3))"
@@ -600,19 +595,16 @@ def test_value_records_compare_by_their_fields_and_stay_immutable():
         "HyperTopology(carrier=HyperCarrier(space=FinTopSpace(n=2, opens=[{} {0} {0,1}]), kind='F', "
         "elements=(0, 2, 3)), flavor='w', rows=(7, 6, 4))"
     )
-    assert repr(EvPerSeq((0,), (1, 2))) == "EvPerSeq(preperiod=(0,), cycle=(1, 2))"
 
 
 def test_value_fields_are_the_init_parameters():
     # equality, hashing and repr read _fields only, so a parameter that
     # __init__ stores and _fields leaves out, or the other way round, fails
-    # here; a carrier's base only says where its tables come from
-    classes = (FinTopSpace, HyperCarrier, HyperTopology, EvPerSeq)
+    # here
+    classes = (FinTopSpace, HyperCarrier, HyperTopology)
     assert set(_Value.__subclasses__()) == set(classes)
     for cls in classes:
         params = list(inspect.signature(cls.__init__).parameters)[1:]
-        if cls is HyperCarrier:
-            params.remove("base")
         assert list(cls._fields) == params, cls
         # the base's methods are the only ones; FinTopSpace keeps its own
         # repr, whose opens are written as sets

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import bench_doc_spaces, hyper_table, loop_transpose, spaces_upto
 from limhyper import (
-    EvPerSeq,
     HyperCarrier,
     HyperTopology,
     InvariantViolation,
@@ -41,7 +40,6 @@ from limhyper.oracle import (
     min_nbhd_oracle,
     pairwise_separated,
     product_min_nbhd,
-    term,
 )
 from limhyper.theorems import FAIL, CheckEnv, _cyclic_topology, _non_closed_tables, corrupted_environments, run_check
 
@@ -616,46 +614,27 @@ def test_slice_open_sampled_n4():
 
 # --------------------------------------------------------------- sequences
 
-def test_evperseq_terms():
-    seq = EvPerSeq((7,), (1, 2))
-    assert [term(seq, k) for k in range(6)] == [7, 1, 2, 1, 2, 1]
-    with pytest.raises(ValueError):
-        EvPerSeq((), ())
-
-
-def test_evperseq_term_matches_index_arithmetic():
-    # every preperiod of at most three terms and every cycle of one to four
-    # terms over a three-letter alphabet, read up to three cycles past the
-    # preperiod; check_conv_props counts these sequences without walking them
-    for p in range(4):
-        for pre in itertools.product(range(3), repeat=p):
-            for c in range(1, 5):
-                for cyc in itertools.product(range(3), repeat=c):
-                    seq = EvPerSeq(pre, cyc)
-                    assert [term(seq, j) for j in range(p + 3 * c)] == list(pre + cyc * 3)
-
-
 def test_seq_ops_sierpinski_constant_at_x(sierpinski):
     f = carrier(sierpinski, "F")
     tw = build_topology(f, "w")
     ts = build_topology(f, "s")
     x = f.index(0b11)
-    const = EvPerSeq((), (x,))
+    const = (x,)
     assert seq_limits(tw, const) == 0b111
     assert seq_limits(ts, const) == 1 << x
     # primitive: the limit set is the cluster set, the closure of the cycle
-    assert seq_limits(tw, const) == hyper_closure(tw, mask_of(const.cycle))
+    assert seq_limits(tw, const) == hyper_closure(tw, mask_of(const))
 
 
 def test_seq_ops_sierpinski_cycle(sierpinski):
     f = carrier(sierpinski, "F")
     tw = build_topology(f, "w")
     ts = build_topology(f, "s")
-    seq = EvPerSeq((), (f.index(0b10), f.index(0b11)))
-    assert seq_limits(tw, seq) == 1 << f.index(0) | 1 << f.index(0b10)
-    assert hyper_closure(tw, mask_of(seq.cycle)) == 0b111
-    assert seq_limits(tw, seq) != hyper_closure(tw, mask_of(seq.cycle))
-    assert seq_limits(ts, seq) == 0
+    cyc = (f.index(0b10), f.index(0b11))
+    assert seq_limits(tw, cyc) == 1 << f.index(0) | 1 << f.index(0b10)
+    assert hyper_closure(tw, mask_of(cyc)) == 0b111
+    assert seq_limits(tw, cyc) != hyper_closure(tw, mask_of(cyc))
+    assert seq_limits(ts, cyc) == 0
 
 
 def test_constant_sequence_always_converges_to_itself():
@@ -664,10 +643,10 @@ def test_constant_sequence_always_converges_to_itself():
         for flavor in ("w", "s"):
             top = build_topology(f, flavor)
             for i in range(len(f.elements)):
-                assert (seq_limits(top, EvPerSeq((), (i,))) >> i) & 1
+                assert (seq_limits(top, (i,)) >> i) & 1
 
 
-def seq_limit_oracle(space, car, flavor, seq, a_idx):
+def seq_limit_oracle(space, car, flavor, cycle, a_idx):
     """A is a limit iff each basic open around A eventually swallows the
     sequence; with an eventually periodic sequence that means every cycle
     term is a member of every such basic set."""
@@ -689,7 +668,7 @@ def seq_limit_oracle(space, car, flavor, seq, a_idx):
             phi = [hits[i] for i in bits(r)]
             if not basic_open_membership(space, a, c, phi):
                 continue
-            for t in seq.cycle:
+            for t in cycle:
                 if not basic_open_membership(space, car.elements[t], c, phi):
                     return False
     return True
@@ -703,10 +682,9 @@ def test_seq_limits_match_literal_basic_open_oracle():
             top = build_topology(f, flavor)
             for c in range(1, 3):
                 for cyc in itertools.product(range(k), repeat=c):
-                    seq = EvPerSeq((), cyc)
-                    lim = seq_limits(top, seq)
+                    lim = seq_limits(top, cyc)
                     for a in range(k):
-                        assert bool((lim >> a) & 1) == seq_limit_oracle(space, f, flavor, seq, a)
+                        assert bool((lim >> a) & 1) == seq_limit_oracle(space, f, flavor, cyc, a)
 
 
 def test_seq_limits_match_oracle_three_point(three_point):
@@ -715,10 +693,9 @@ def test_seq_limits_match_oracle_three_point(three_point):
     for flavor in ("w", "s"):
         top = build_topology(f, flavor)
         for cyc in itertools.product(range(k), repeat=2):
-            seq = EvPerSeq((1,), cyc)
-            lim = seq_limits(top, seq)
+            lim = seq_limits(top, cyc)
             for a in range(k):
-                assert bool((lim >> a) & 1) == seq_limit_oracle(three_point, f, flavor, seq, a)
+                assert bool((lim >> a) & 1) == seq_limit_oracle(three_point, f, flavor, cyc, a)
 
 
 # ----------------------------------------------- point-selection conditions
@@ -768,11 +745,11 @@ def conv1_oracle(space, cycle_masks, a):
 
 def test_conv1_examples(sierpinski):
     f = carrier(sierpinski, "F")
-    const_x = EvPerSeq((), (0b11,))
+    const_x = (0b11,)
     assert conv1_conditions(sierpinski, const_x, 0b11) == (True, True)
     cond_a, cond_b = conv1_conditions(sierpinski, const_x, 0b10)
     assert not cond_a
-    const_b = EvPerSeq((), (0b10,))
+    const_b = (0b10,)
     assert conv1_conditions(sierpinski, const_b, 0b10) == (True, True)
 
 
@@ -783,9 +760,8 @@ def test_conv1_matches_selection_oracle_exhaustive_n2():
         subsets = range(space.full + 1)
         for c in range(1, 3):
             for cyc in itertools.product(subsets, repeat=c):
-                seq = EvPerSeq((), cyc)
                 for a in subsets:
-                    assert conv1_conditions(space, seq, a) == conv1_oracle(space, cyc, a), (space, cyc, a)
+                    assert conv1_conditions(space, cyc, a) == conv1_oracle(space, cyc, a), (space, cyc, a)
 
 
 def test_conv1_matches_selection_oracle_three_point():
@@ -795,9 +771,8 @@ def test_conv1_matches_selection_oracle_three_point():
         subsets = range(space.full + 1)
         for c in (1, 2):
             for cyc in itertools.product(subsets, repeat=c):
-                seq = EvPerSeq((), cyc)
                 for a in subsets:
-                    assert conv1_conditions(space, seq, a) == conv1_oracle(space, cyc, a), (space, cyc, a)
+                    assert conv1_conditions(space, cyc, a) == conv1_oracle(space, cyc, a), (space, cyc, a)
 
 
 def test_primitive_characterization_matches_fell_convergence():
@@ -810,14 +785,12 @@ def test_primitive_characterization_matches_fell_convergence():
         k = len(f.elements)
         for c in (1, 2, 3):
             for cyc in itertools.product(range(k), repeat=c):
-                for pre in ((), (0,)):
-                    seq = EvPerSeq(pre, cyc)
-                    lim_s = seq_limits(ts, seq)
-                    lim_w = seq_limits(tw, seq)
-                    prim = lim_w == hyper_closure(tw, mask_of(cyc))
-                    for a in range(k):
-                        subs = mask_of(j for j in range(k) if not f.elements[j] & ~f.elements[a])
-                        assert bool((lim_s >> a) & 1) == (prim and lim_w == subs)
+                lim_s = seq_limits(ts, cyc)
+                lim_w = seq_limits(tw, cyc)
+                prim = lim_w == hyper_closure(tw, mask_of(cyc))
+                for a in range(k):
+                    subs = mask_of(j for j in range(k) if not f.elements[j] & ~f.elements[a])
+                    assert bool((lim_s >> a) & 1) == (prim and lim_w == subs)
 
 
 def test_conv1_equivalent_to_fell_convergence():
@@ -828,9 +801,8 @@ def test_conv1_equivalent_to_fell_convergence():
         k = len(f.elements)
         for c in range(1, 3):
             for cyc in itertools.product(range(k), repeat=c):
-                seq = EvPerSeq((), cyc)
-                lim = seq_limits(ts, seq)
-                mask_seq = EvPerSeq((), tuple(f.elements[t] for t in cyc))
+                lim = seq_limits(ts, cyc)
+                masks = tuple(f.elements[t] for t in cyc)
                 for a in range(k):
-                    ca, cb = conv1_conditions(space, mask_seq, f.elements[a])
+                    ca, cb = conv1_conditions(space, masks, f.elements[a])
                     assert (ca and cb) == bool((lim >> a) & 1)

@@ -16,7 +16,7 @@ from limhyper import (
     validate_topology,
     verify_all,
 )
-from limhyper.finspace import set_repr
+from limhyper.finspace import default_labels, set_repr
 from limhyper.spaceio import parse_point_set
 from limhyper.theorems import CheckEnv
 
@@ -248,8 +248,11 @@ def test_witnesses_render_with_labels(sierpinski):
     rendered = dict(result.witness)
     for value in rendered.values():
         assert "0b" not in value and "mask" not in value
-    report_labels = hit["check_closure_singleton"].labels
-    assert report_labels == ("a", "b")
+    # mining names points by the default labels, and the witness reads back
+    # through them
+    labels = default_labels(sierpinski.n)
+    assert labels == ("a", "b")
+    assert 0 <= parse_point_set(rendered["element"], labels) <= sierpinski.full
 
 
 def test_unknown_format_rejected(sierpinski):

@@ -28,7 +28,7 @@ from limhyper import (
 )
 from limhyper import finspace, theorems
 from limhyper.cli import run as run_cli
-from limhyper.finspace import canonical_key, closed_sets, digest, mask_of, preorder_prefixes, union_of
+from limhyper.finspace import canonical_key, closed_sets, default_labels, digest, mask_of, preorder_prefixes, union_of
 from limhyper.hyperspace import FLAVORS, HyperTopology, build_topology, is_dense
 from limhyper.limitsets import CARRIER_KINDS, HyperCarrier
 from limhyper.oracle import dense_open_meet_oracle, per_cycle_conv_props, per_open_local_compactness
@@ -332,7 +332,7 @@ def test_mined_witness_self_validates(sierpinski):
     witness = dict(hit.result.witness)
     env = dict(corrupted_environments(sierpinski))[hit.description]
     t = env.topology("F", "w")
-    elem = parse_point_set(witness["element"], hit.labels)
+    elem = parse_point_set(witness["element"], default_labels(sierpinski.n))
     i = t.carrier.index(elem)
     got = hyper_closure(t, 1 << i)
     expected = mask_of(j for j, b in enumerate(t.carrier.elements) if not b & ~elem)
