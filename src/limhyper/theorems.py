@@ -49,7 +49,7 @@ from .hyperspace import (
     is_separated_in,
     product_closure,
 )
-from .limitsets import HyperCarrier, carriers as build_carriers, eta
+from .limitsets import CARRIER_KINDS, HyperCarrier, carriers as build_carriers, eta
 
 PASS = "pass"
 FAIL = "fail"
@@ -70,32 +70,64 @@ class VerificationReport(NamedTuple):
     elapsed_s: float = 0.0
 
 
+class Corruption(NamedTuple):
+    """One named corruption of a space's honest structures, as plain data.
+    ``elements`` replace carrier ``kind`` (put in canonical order), and
+    ``rows`` replace its (``kind``, ``flavor``) table; a record holding
+    both puts one table on the replaced carrier."""
+
+    description: str
+    kind: str
+    elements: tuple[int, ...] | None = None
+    flavor: str | None = None
+    rows: tuple[int, ...] | None = None
+
+
 class CheckEnv:
     """The carriers and hyperspace topologies that one space's checks share.
 
-    Mining hands in the space's shared honest carriers and tables together
-    with a corrupted carrier or raw neighborhood table through the
-    ``carriers`` / ``topologies`` overrides; every check then runs its
-    ordinary logic against the broken structures. Labels, when given,
-    name the points one each and obey the one label rule of
-    ``finspace.check_labels``, the rule space documents and reports are
-    read by; ``None`` or an empty sequence defaults them.
+    ``corrupted`` is the one builder of a broken env: it shares this env's
+    honest carriers and tables with an env that replaces what one
+    ``Corruption`` names, and every check then runs its ordinary logic
+    against the broken structures. Labels, when given, name the points one
+    each and obey the one label rule of ``finspace.check_labels``, the rule
+    space documents and reports are read by; ``None`` or an empty sequence
+    defaults them.
     """
 
-    def __init__(self, space, labels=None, carriers=None, topologies=None):
+    def __init__(self, space, labels=None):
         self.space = space
         self.labels = tuple(labels) if labels else default_labels(space.n)
         if len(self.labels) != space.n:
             raise ValueError(f"{len(self.labels)} labels given for a space of {space.n} points")
         if labels:
             check_labels(self.labels)
-        self._carriers: dict[str, HyperCarrier] = dict(carriers or {})
-        self._topologies: dict[tuple[str, str], HyperTopology] = dict(topologies or {})
+        self._carriers: dict[str, HyperCarrier] = {}
+        self._topologies: dict[tuple[str, str], HyperTopology] = {}
 
     def carrier(self, kind: str) -> HyperCarrier:
-        if kind not in self._carriers:
-            self._carriers = {**build_carriers(self.space), **self._carriers}
+        if not self._carriers:
+            self._carriers = build_carriers(self.space)
         return self._carriers[kind]
+
+    def corrupted(self, c: Corruption) -> CheckEnv:
+        """The env of corruption ``c``, a copy of this one that shares its
+        carriers and the tables built so far, but for what ``c`` replaces:
+        a replaced carrier drops its two tables, which the new env
+        rebuilds on it (``_non_closed_tables`` here when it is not
+        closed), and a replaced table replaces that one only."""
+        car = self.carrier(c.kind)
+        env = object.__new__(CheckEnv)  # a copy: space and labels are already checked
+        env.__dict__.update(vars(self), _carriers=dict(self._carriers), _topologies=dict(self._topologies))
+        if c.elements is not None:
+            car = env._carriers[c.kind] = HyperCarrier(self.space, c.kind, tuple(sorted(c.elements, key=canonical_key)))
+            for flavor in FLAVORS:
+                env._topologies.pop((c.kind, flavor), None)
+            if not car.closed:
+                env._topologies.update(_non_closed_tables(car))
+        if c.rows is not None:
+            env._topologies[c.kind, c.flavor] = HyperTopology(car, c.flavor, c.rows)
+        return env
 
     def topology(self, kind: str, flavor: str) -> HyperTopology:
         key = (kind, flavor)
@@ -646,18 +678,6 @@ class MiningHit(NamedTuple):
     result: CheckResult
 
 
-def _canon_carrier(space, kind, masks) -> HyperCarrier:
-    return HyperCarrier(space, kind, tuple(sorted(masks, key=canonical_key)))
-
-
-def _cyclic_topology(car: HyperCarrier, flavor) -> HyperTopology | None:
-    k = len(car.elements)
-    if k < 3:
-        return None
-    rows = tuple(1 << i | 1 << (i + 1) % k for i in range(k))
-    return HyperTopology(car, flavor, rows)
-
-
 def _non_closed_tables(car: HyperCarrier) -> dict[tuple[str, str], HyperTopology]:
     """Both tables of a carrier holding a set that is not closed, which
     ``build_topology`` refuses. B is in A's tau_w row iff B meets
@@ -675,73 +695,49 @@ def _non_closed_tables(car: HyperCarrier) -> dict[tuple[str, str], HyperTopology
     return tables
 
 
-def corrupted_environments(space: FinTopSpace):
-    """Yield (description, env) pairs with deliberately broken carriers or
-    neighborhood tables, for expect-fail exploration.
-
-    The space's five honest carriers and ten honest tables are built once
-    and shared by every environment: a corrupted carrier drops its two
-    tables, which the environment rebuilds on it (``_non_closed_tables``
-    here when it is not closed); a corrupted table replaces that one only."""
-    carriers = build_carriers(space)
-    tables = {(kind, flavor): build_topology(car, flavor) for kind, car in carriers.items() for flavor in FLAVORS}
-
-    def with_carrier(car):
-        others = {key: t for key, t in tables.items() if key[0] != car.kind}
-        if not car.closed:
-            others.update(_non_closed_tables(car))
-        return CheckEnv(space, carriers={**carriers, car.kind: car}, topologies=others)
-
-    def with_table(t):
-        return CheckEnv(space, carriers=carriers, topologies={**tables, (t.carrier.kind, t.flavor): t})
-
+def corruptions(env: CheckEnv):
+    """Yield mining's named corruptions of ``env``'s honest carriers and
+    tables, in the order mining tries them."""
+    f, l, ml = (env.carrier(kind).elements for kind in ("F", "L", "ML"))
     # the first non-closed set in canonical order: the empty set and the
     # singletons lead it, and if every singleton is closed so is every set
-    closed = set(carriers["F"].elements)
-    non_closed = next((1 << x for x, cl in enumerate(space.closures) if cl != 1 << x), None)
+    non_closed = next((1 << x for x, cl in enumerate(env.space.closures) if cl != 1 << x), None)
     if non_closed is not None:
-        yield ("non-closed set injected into F", with_carrier(_canon_carrier(space, "F", closed | {non_closed})))
-
-    lset = set(carriers["L"].elements)
-    non_limit = next((m for m in carriers["F"].elements if m not in lset), None)
+        yield Corruption("non-closed set injected into F", "F", (*f, non_closed))
+    lset = set(l)
+    non_limit = next((m for m in f if m not in lset), None)
     if non_limit is not None:
-        yield ("non-limit closed set injected into L", with_carrier(_canon_carrier(space, "L", lset | {non_limit})))
-
+        yield Corruption("non-limit closed set injected into L", "L", (*l, non_limit))
     # a singleton is a limit set: the opens meeting it share its point
     if non_closed is not None:
-        yield ("non-closed set injected into L", with_carrier(_canon_carrier(space, "L", lset | {non_closed})))
-
-    mlset = set(carriers["ML"].elements)
-    non_maximal = next((m for m in carriers["L"].elements if m not in mlset), None)
+        yield Corruption("non-closed set injected into L", "L", (*l, non_closed))
+    mlset = set(ml)
+    non_maximal = next((m for m in l if m not in mlset), None)
     if non_maximal is not None:
-        yield (
-            "non-maximal limit set injected into ML",
-            with_carrier(_canon_carrier(space, "ML", mlset | {non_maximal})),
-        )
+        yield Corruption("non-maximal limit set injected into ML", "ML", (*ml, non_maximal))
+    if ml:
+        yield Corruption("maximal limit set removed from ML", "ML", ml[:-1])
+    if len(ml) >= 2:
+        yield Corruption("L restricted to its maximal elements", "L", ml)
+    for kind, k in (("F", len(f)), ("L", len(l))):
+        if k >= 3:
+            cycle = tuple(1 << i | 1 << (i + 1) % k for i in range(k))
+            yield Corruption(f"cyclic neighborhood table on ({kind},tau_w)", kind, flavor="w", rows=cycle)
+    yield Corruption("Fell table served as the lower topology on F", "F", flavor="w", rows=env.topology("F", "s").rows)
+    yield Corruption("lower table served as the Fell topology on L", "L", flavor="s", rows=env.topology("L", "w").rows)
 
-    if mlset:
-        dropped = carriers["ML"].elements[-1]
-        yield ("maximal limit set removed from ML", with_carrier(_canon_carrier(space, "ML", mlset - {dropped})))
 
-    if len(mlset) >= 2:
-        yield ("L restricted to its maximal elements", with_carrier(_canon_carrier(space, "L", mlset)))
-
-    for kind in ("F", "L"):
-        cyc = _cyclic_topology(carriers[kind], "w")
-        if cyc is not None:
-            yield (f"cyclic neighborhood table on ({kind},tau_w)", with_table(cyc))
-
-    swapped = tables["F", "s"]
-    yield (
-        "Fell table served as the lower topology on F",
-        with_table(HyperTopology(swapped.carrier, "w", swapped.rows)),
-    )
-
-    widened = tables["L", "w"]
-    yield (
-        "lower table served as the Fell topology on L",
-        with_table(HyperTopology(widened.carrier, "s", widened.rows)),
-    )
+def corrupted_environments(space: FinTopSpace):
+    """Yield (description, env) pairs with deliberately broken carriers or
+    neighborhood tables, for expect-fail exploration: the env of each of
+    ``corruptions``, all built from one honest env, so the space's five
+    honest carriers and ten honest tables are built once."""
+    honest = CheckEnv(space)
+    for kind in CARRIER_KINDS:
+        for flavor in FLAVORS:
+            honest.topology(kind, flavor)
+    for c in corruptions(honest):
+        yield c.description, honest.corrupted(c)
 
 
 def mine_check_failures(space: FinTopSpace) -> dict[str, MiningHit]:

@@ -57,7 +57,7 @@ from limhyper.oracle import (
     pairwise_separated,
     set_repr_oracle,
 )
-from limhyper.theorems import MiningHit
+from limhyper.theorems import Corruption, MiningHit
 
 
 # ---------------------------------------------------------------- oracles
@@ -563,6 +563,16 @@ def test_value_records_compare_by_their_fields_and_stay_immutable():
         VerificationReport: (lambda: VerificationReport("abc", ("a", "b"), (result(),), 0.5), []),
         SweepResult: (lambda: SweepResult(4, 0, (), 0.5), []),
         MiningHit: (lambda: MiningHit("corruption", result()), []),
+        Corruption: (
+            lambda: Corruption("cyclic", "F", (0b00, 0b10, 0b11), "w", (3, 6, 5)),
+            [
+                Corruption("other", "F", (0b00, 0b10, 0b11), "w", (3, 6, 5)),
+                Corruption("cyclic", "L", (0b00, 0b10, 0b11), "w", (3, 6, 5)),
+                Corruption("cyclic", "F", None, "w", (3, 6, 5)),
+                Corruption("cyclic", "F", (0b00, 0b10, 0b11), "s", (3, 6, 5)),
+                Corruption("cyclic", "F", (0b00, 0b10, 0b11), "w", None),
+            ],
+        ),
         LabeledSpace: (lambda: LabeledSpace(space(), ("a", "b")), []),
     }
     for cls, (make, variants) in records.items():
@@ -579,7 +589,7 @@ def test_value_records_compare_by_their_fields_and_stay_immutable():
             with pytest.raises(AttributeError):
                 delattr(a, name)
         assert a == b, cls
-    named = (CheckResult, VerificationReport, SweepResult, MiningHit, LabeledSpace)
+    named = (CheckResult, VerificationReport, SweepResult, MiningHit, Corruption, LabeledSpace)
     assert all(issubclass(cls, tuple) for cls in named)
     assert not any(issubclass(cls, tuple) for cls in records if cls not in named)
 

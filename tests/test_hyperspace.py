@@ -41,7 +41,7 @@ from limhyper.oracle import (
     pairwise_separated,
     product_min_nbhd,
 )
-from limhyper.theorems import FAIL, CheckEnv, _cyclic_topology, _non_closed_tables, corrupted_environments, run_check
+from limhyper.theorems import FAIL, CheckEnv, Corruption, _non_closed_tables, corrupted_environments, run_check
 
 
 # ------------------------------------------------------------ basic opens
@@ -422,7 +422,8 @@ def test_compact_cover(sierpinski):
     # the row of {} is the carrier
     assert member_wise_compact_cover(tw, bits(everything), rows_of(tw, 1 << f.index(0)))
     # an honest table has no row that is not open; the cyclic one does
-    cyc = _cyclic_topology(carrier(sierpinski, "F"), "w")  # rows {0,1} {1,2} {0,2}
+    cyc = dict(corrupted_environments(sierpinski))["cyclic neighborhood table on (F,tau_w)"].topology("F", "w")
+    assert cyc.rows == (0b011, 0b110, 0b101)
     assert cyc.open_rows == 0
     with pytest.raises(NotOpen, match=r"cover member \[1, 2\] is not open"):
         member_wise_compact_cover(cyc, bits(everything), rows_of(cyc, 1 << 2 | 1 << 1))
@@ -543,17 +544,18 @@ def test_exact_product_check_matches_enumeration():
     # depends only on the table and the inclusion relation
     tables = {}
     for space in spaces_upto(3, start=1):
-        envs = [CheckEnv(space)] + [env for _, env in corrupted_environments(space)]
-        lcar = carrier(space, "L")
-        tried = [(1,) + (0,) * (len(lcar) - 1)] + (list(_preorder_rows(len(lcar))) if len(lcar) <= 3 else [])
-        envs += [CheckEnv(space, topologies={("L", "s"): HyperTopology(lcar, "s", rows)}) for rows in tried]
-        cyclic = _cyclic_topology(carrier(space, "L"), "s")
-        if cyclic is not None:
-            envs.append(CheckEnv(space, topologies={("L", "s"): cyclic}))
-        ml = HyperCarrier(space, "L", carrier(space, "ML").elements)
+        honest = CheckEnv(space)
+        envs = [honest] + [env for _, env in corrupted_environments(space)]
+        k = len(honest.carrier("L"))
+        tried = [(1,) + (0,) * (k - 1)] + (list(_preorder_rows(k)) if k <= 3 else [])
+        if k >= 3:
+            tried.append(tuple(1 << i | 1 << (i + 1) % k for i in range(k)))  # cyclic
+        records = [Corruption("hand-built (L,tau_s) table", "L", flavor="s", rows=rows) for rows in tried]
+        ml = honest.carrier("ML").elements
         if len(ml) >= 2:
             shift = tuple(1 << (i + 1) % len(ml) for i in range(len(ml)))
-            envs.append(CheckEnv(space, carriers={"L": ml}, topologies={("L", "s"): HyperTopology(ml, "s", shift)}))
+            records.append(Corruption("ML served as L, its Fell table shifted", "L", ml, "s", shift))
+        envs += [honest.corrupted(c) for c in records]
         for env in envs:
             ts = env.topology("L", "s")
             tables.setdefault((ts.rows, inclusion_relation(env.carrier("L"))), env)

@@ -98,3 +98,26 @@ def test_oracle_imports_no_function_of_the_decision_modules():
         if callable(value) and not isinstance(value, type):
             offenders.append(name)
     assert offenders == []
+
+
+def test_corrupted_structures_are_built_in_one_place():
+    # a corrupted environment is a ``Corruption`` record handed to
+    # ``CheckEnv.corrupted``: ``theorems.py`` makes a carrier or a table
+    # only there and in ``_non_closed_tables``, which that builder calls
+    tree = ast.parse((SRC / "theorems.py").read_text(encoding="utf-8"))
+    makers = {"HyperCarrier", "HyperTopology"}
+    found = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name in makers:
+                    found.setdefault(owner, set()).add(name)
+            visit(child, owner)
+
+    visit(tree, "")
+    assert found == {"CheckEnv.corrupted": makers, "_non_closed_tables": {"HyperTopology"}}

@@ -29,7 +29,7 @@ from limhyper import (
 from limhyper import finspace, theorems
 from limhyper.cli import run as run_cli
 from limhyper.finspace import canonical_key, closed_sets, default_labels, digest, mask_of, preorder_prefixes, union_of
-from limhyper.hyperspace import FLAVORS, HyperTopology, build_topology, is_dense
+from limhyper.hyperspace import FLAVORS, build_topology, is_dense
 from limhyper.limitsets import CARRIER_KINDS, HyperCarrier
 from limhyper.oracle import dense_open_meet_oracle, per_cycle_conv_props, per_open_local_compactness
 from limhyper.spaceio import parse_point_set
@@ -41,10 +41,12 @@ from limhyper.theorems import (
     TRIVIALLY_TRUE,
     CheckEnv,
     CheckResult,
+    Corruption,
     _non_closed_tables,
     _not_a_topology_at,
     check_conv_props,
     corrupted_environments,
+    corruptions,
 )
 
 
@@ -347,41 +349,30 @@ def test_mining_covers_gdelta_flip(sierpinski_plus_isolated):
         assert found[cid].result.status == FAIL
 
 
-# what each corruption replaces: a carrier kind, or a (kind, flavor) table
-CORRUPTED = {
-    "non-closed set injected into F": "F",
-    "non-limit closed set injected into L": "L",
-    "non-closed set injected into L": "L",
-    "non-maximal limit set injected into ML": "ML",
-    "maximal limit set removed from ML": "ML",
-    "L restricted to its maximal elements": "L",
-    "cyclic neighborhood table on (F,tau_w)": ("F", "w"),
-    "cyclic neighborhood table on (L,tau_w)": ("L", "w"),
-    "Fell table served as the lower topology on F": ("F", "w"),
-    "lower table served as the Fell topology on L": ("L", "s"),
-}
-
-
 def test_shared_honest_structures_stay_in_their_environments():
     # the environments of one space share its honest carriers and tables;
-    # each sees the honest ones exactly where it replaces nothing, a
-    # replaced carrier brings tables built on it, and no check run on any
-    # environment changes what the others share
+    # each sees the honest ones exactly where its corruption replaces
+    # nothing, a replaced carrier brings tables built on it, and no check
+    # run on any environment changes what the others share
     for space in [*spaces_upto(4), *bench_doc_spaces()]:
         honest = {kind: carrier(space, kind) for kind in CARRIER_KINDS}
         envs = []
         shared = {}
-        for description, env in corrupted_environments(space):
-            replaced = CORRUPTED[description]
+        records = corruptions(CheckEnv(space))
+        for c, (description, env) in zip(records, corrupted_environments(space), strict=True):
+            assert c.description == description
+            assert (c.elements is None) != (c.rows is None), c
             for kind in CARRIER_KINDS:
-                assert (env.carrier(kind) == honest[kind]) == (kind != replaced), (description, kind)
+                replaced = kind == c.kind and c.elements is not None
+                assert (env.carrier(kind) == honest[kind]) != replaced, (description, kind)
                 for flavor in FLAVORS:
-                    if (kind, flavor) == replaced:
+                    if (kind, flavor) == (c.kind, c.flavor):
+                        assert env.topology(kind, flavor).rows == c.rows, (description, kind, flavor)
                         continue
                     t = env.topology(kind, flavor)
                     assert t.carrier == env.carrier(kind) and t.flavor == flavor
                     assert t.rows == hyper_table(env.carrier(kind), flavor).rows, (description, kind, flavor)
-                    if kind != replaced:
+                    if not replaced:
                         assert shared.setdefault((kind, flavor), t) is t, (description, kind, flavor)
             envs.append(env)
         assert len(shared) == 10
@@ -392,6 +383,27 @@ def test_shared_honest_structures_stay_in_their_environments():
             fresh = build_topology(carrier(space, kind), flavor)
             assert t.carrier == fresh.carrier and t.carrier.holding == fresh.carrier.holding
             assert (t.rows, t.cols, t.open_rows) == (fresh.rows, fresh.cols, fresh.open_rows)
+
+
+def test_identity_corruptions_give_the_honest_results():
+    # a record that puts back an honest carrier's own elements, or an
+    # honest table's own rows, changes no status, witness or note of any
+    # check, on every space with 1 <= n <= 3
+    built = 0
+    for space in spaces_upto(3, start=1):
+        want = list(verify_all(space).results)
+        honest = CheckEnv(space)
+        records = [Corruption("identity", kind, honest.carrier(kind).elements) for kind in CARRIER_KINDS]
+        records += [
+            Corruption("identity", kind, flavor=flavor, rows=honest.topology(kind, flavor).rows)
+            for kind in CARRIER_KINDS
+            for flavor in FLAVORS
+        ]
+        for c in records:
+            env = honest.corrupted(c)
+            assert [run_check(cid, env) for cid in CHECKS] == want, (space, c)
+            built += 1
+    assert built == 510
 
 
 def test_report_invariant_every_check_once():
@@ -473,6 +485,24 @@ def test_every_mining_hit_is_golden():
             h.update(json.dumps(line).encode() + b"\n")
             hits += 1
     assert (hits, h.hexdigest()) == (4240, GOLDEN_MINING_SHA256)
+
+
+# the same hash over every tenth five-point space in enumeration order
+GOLDEN_MINING_5_SHA256 = "2e8bfb31671ede708e9147854923f04f87b843ad5580ffde723a7e4d670bb55d"
+
+
+def test_five_point_mining_hits_are_golden():
+    # all 7635 hits on 695 of the 6942 five-point spaces, where carriers
+    # and tables are larger than at n <= 4
+    h = hashlib.sha256()
+    hits = 0
+    for space in list(spaces_upto(5, start=5))[::10]:
+        for cid, hit in mine_check_failures(space).items():
+            r = hit.result
+            line = [digest(space), cid, hit.description, r.status, r.witness, r.notes]
+            h.update(json.dumps(line).encode() + b"\n")
+            hits += 1
+    assert (hits, h.hexdigest()) == (7635, GOLDEN_MINING_5_SHA256)
 
 
 def _witness_keys(witness, check):
@@ -597,22 +627,38 @@ def test_mining_reaches_the_listed_fail_sites():
 
 # one environment per unmined FAIL site, the first hits of exhaustive
 # searches over the spaces with n <= 2 (ROADMAP item 12): (check, site,
-# points, carrier put in place of the honest one as (kind, elements), table
-# put in place of the honest one as (kind, flavor, rows))
+# points, the corruption of the discrete space on that many points)
+L_EMPTIED = Corruption("L emptied on one point: ML's {a} lies outside it", "L", ())
+
+
+def zero_table(kind, flavor, k):
+    """An all-zero, so not reflexive, table on a carrier of k elements."""
+    return Corruption(f"zero ({kind},tau_{flavor}) table", kind, flavor=flavor, rows=(0,) * k)
+
+
 UNMINED_SITE_ENVIRONMENTS = [
-    # L emptied on the one-point space: ML's {a} lies outside it
-    ("check_cont_iff_maximal", "ml_member_outside_L", 1, ("L", ()), None),
-    ("check_separated_iff_maximal", "ml_member_outside_L", 1, ("L", ()), None),
-    ("check_gdelta_ML", "ml_member_outside_L", 1, ("L", ()), None),
-    # all-zero, so not reflexive, tables on the one-point space
-    ("check_cont_iff_maximal", "element, tau_w_nbhd, tau_s_nbhd", 1, None, ("ML", "w", (0,))),
-    ("check_eta_closure_and_density", "not_closed=L in (F,tau_s)", 1, None, ("F", "s", (0, 0))),
-    ("check_local_compactness", "carrier, element", 1, None, ("F", "w", (0, 0))),
-    ("check_product_structure", "not_a_topology_at", 1, None, ("L", "s", (0, 0))),
+    ("check_cont_iff_maximal", "ml_member_outside_L", 1, L_EMPTIED),
+    ("check_separated_iff_maximal", "ml_member_outside_L", 1, L_EMPTIED),
+    ("check_gdelta_ML", "ml_member_outside_L", 1, L_EMPTIED),
+    # on the one-point space
+    ("check_cont_iff_maximal", "element, tau_w_nbhd, tau_s_nbhd", 1, zero_table("ML", "w", 1)),
+    ("check_eta_closure_and_density", "not_closed=L in (F,tau_s)", 1, zero_table("F", "s", 2)),
+    ("check_local_compactness", "carrier, element", 1, zero_table("F", "w", 2)),
+    ("check_product_structure", "not_a_topology_at", 1, zero_table("L", "s", 2)),
     # on the discrete two-point space
-    ("check_separated_points_corollary", "not_dense_in_ML", 2, ("ML", (0b01, 0b10, 0b11)), None),
-    ("check_eta_closure_and_density", "not_closed=L in (F,tau_w)", 2, None, ("F", "w", (2, 2, 2, 9))),
-    ("check_eta_closure_and_density", "not_dense=Fprime in (F,tau_w)", 2, None, ("F", "w", (2, 2, 2, 0))),
+    ("check_separated_points_corollary", "not_dense_in_ML", 2, Corruption("{a,b} added to ML", "ML", (1, 2, 3))),
+    (
+        "check_eta_closure_and_density",
+        "not_closed=L in (F,tau_w)",
+        2,
+        Corruption("(F,tau_w) rows {a} {a} {a} {{},{a,b}}", "F", flavor="w", rows=(2, 2, 2, 9)),
+    ),
+    (
+        "check_eta_closure_and_density",
+        "not_dense=Fprime in (F,tau_w)",
+        2,
+        Corruption("(F,tau_w) rows {a} {a} {a} and none", "F", flavor="w", rows=(2, 2, 2, 0)),
+    ),
 ]
 
 
@@ -621,17 +667,8 @@ def test_each_unmined_fail_site_fires_on_its_environment():
     # site's witness keys, and runs that site's lines
     sites = fail_sites()
     assert {(cid, site) for cid, site, *_ in UNMINED_SITE_ENVIRONMENTS} == UNMINED_FAIL_SITES
-    for cid, site, n, replaced_carrier, replaced_table in UNMINED_SITE_ENVIRONMENTS:
-        space = validate_topology(n, range(1 << n))  # discrete
-        cars = carriers(space)
-        tables = {}
-        if replaced_carrier is not None:
-            kind, elements = replaced_carrier
-            cars = {**cars, kind: HyperCarrier(space, kind, elements)}
-        if replaced_table is not None:
-            kind, flavor, rows = replaced_table
-            tables[kind, flavor] = HyperTopology(cars[kind], flavor, rows)
-        env = CheckEnv(space, carriers=cars, topologies=tables)
+    for cid, site, n, corruption in UNMINED_SITE_ENVIRONMENTS:
+        env = CheckEnv(validate_topology(n, range(1 << n))).corrupted(corruption)
         got = []
         seen = lines_run(theorems.__file__, lambda: got.append(run_check(cid, env)))
         (result,) = got
@@ -697,12 +734,11 @@ def with_tables(space, kinds, rng):
     """One environment per kind, its honest (kind, tau_w) table replaced by
     a random reflexive relation, and one by that relation's transitive
     closure, a random preorder table."""
-    cars = carriers(space)
+    honest = CheckEnv(space)
     for kind in kinds:
-        car = cars[kind]
-        relation = reflexive_relation(rng, len(car))
+        relation = reflexive_relation(rng, len(honest.carrier(kind)))
         for rows in (relation, transitive_closure(relation)):
-            yield CheckEnv(space, carriers=cars, topologies={(kind, "w"): HyperTopology(car, "w", rows)})
+            yield honest.corrupted(Corruption(f"random ({kind},tau_w)", kind, flavor="w", rows=rows))
 
 
 def test_exact_baire_matches_dense_open_enumeration():
@@ -852,11 +888,9 @@ def test_conv_props_names_a_target_strictly_above_the_closure(discrete2):
     # selection conditions fail, so the witness reads false there; a
     # selection mask widened to every superset of the closure would read
     # true, which no honest or corrupted environment shows
-    cars = carriers(discrete2)
-    f = cars["F"]
-    rows = list(build_topology(f, "s").rows)
+    rows = list(build_topology(carrier(discrete2, "F"), "s").rows)
     rows[3] |= 1 << 1
-    env = CheckEnv(discrete2, carriers=cars, topologies={("F", "s"): HyperTopology(f, "s", tuple(rows))})
+    env = CheckEnv(discrete2).corrupted(Corruption("widened (F,tau_s)", "F", flavor="s", rows=tuple(rows)))
     got = check_conv_props(env)
     assert (got.status, got.witness) == (
         FAIL,
@@ -874,7 +908,7 @@ def test_conv_props_names_a_target_strictly_above_the_closure(discrete2):
 def test_conv_props_on_an_empty_carrier(sierpinski):
     # no space has an empty F carrier, but a hand-built one is decided
     # like any other: no term fails, and the note counts nothing
-    env = CheckEnv(sierpinski, carriers={**carriers(sierpinski), "F": HyperCarrier(sierpinski, "F", ())})
+    env = CheckEnv(sierpinski).corrupted(Corruption("F emptied", "F", ()))
     got = run_check("check_conv_props", env)
     assert got == per_cycle_conv_props(env)
     assert (got.status, got.witness) == (PROXY, ())
@@ -928,17 +962,18 @@ def test_closed_sets_order_and_the_non_closed_pick_match_their_scans():
     # ``closed_sets`` reverses the canonical opens instead of sorting, and
     # mining injects a non-closed singleton instead of scanning every
     # subset; both against the sort they replace, on every space with
-    # n <= 5 and the four benchmark documents
-    injected_into = {"non-closed set injected into F": "F", "non-closed set injected into L": "L"}
+    # n <= 5 and the four benchmark documents. The records that inject a
+    # non-closed set are read off their elements
     for space in [*spaces_upto(5), *bench_doc_spaces()]:
         closed = closed_sets(space)
         assert closed == tuple(sorted((space.full ^ u for u in space.opens), key=canonical_key)), space
         expected = _first_non_closed_by_scan(space)
         picked = {}
-        for description, env in corrupted_environments(space):
-            kind = injected_into.get(description)
-            if kind is not None:
-                (picked[kind],) = set(env.carrier(kind).elements).difference(closed)
+        for c in corruptions(CheckEnv(space)):
+            injected = set(c.elements or ()).difference(closed)
+            if injected:
+                assert c.kind not in picked, (space, c)
+                (picked[c.kind],) = injected
         if expected is None:
             assert picked == {}, space
         else:
